@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test race bench bench-serve bench-admit crash-smoke serve fmt vet check clean integration experiments-smoke
+.PHONY: build test race bench bench-serve bench-admit crash-smoke serve fmt vet check clean integration experiments-smoke perfbench-test
 
 build:
 	$(GO) build ./...
@@ -21,13 +21,16 @@ race:
 # micro-benchmarks, so the speedup and allocation reduction are
 # re-measured on every archive. The GN2/GN1/DP patterns also match the
 # *Screened variants (interval pre-filter on, the serving default) next
-# to the screen-off baselines.
+# to the screen-off baselines. The *Figure3Mix rows run the three
+# kernels on the analyze-cold set mix (Figure-3 profiles, N 10–50),
+# 640 sets each: ten passes over the fixed 64-set corpus.
 # `make bench-all` runs every benchmark in the repo.
 bench:
 	mkdir -p bench-results
 	$(GO) test -bench 'BenchmarkAnalyze' -benchtime 100x -run XXX ./internal/engine/ | tee bench-results/BENCH_engine.txt
 	$(GO) test -bench 'BenchmarkTable|BenchmarkAnalysisScaling|BenchmarkCompositeVsSingle' -benchtime 100x -run XXX . | tee bench-results/BENCH_gn2.txt
-	$(GO) test -bench 'BenchmarkGN2Sweep|BenchmarkGN2xSweep|BenchmarkGN1|BenchmarkDP' -benchtime 10x -run XXX ./internal/core/ | tee bench-results/BENCH_core.txt
+	$(GO) test -bench 'BenchmarkGN2Sweep|BenchmarkGN2xSweep|BenchmarkGN1(Screened|Ref)?$$|BenchmarkDP(Screened|Ref)?$$' -benchtime 10x -run XXX ./internal/core/ | tee bench-results/BENCH_core.txt
+	$(GO) test -bench 'Figure3Mix' -benchtime 640x -run XXX ./internal/core/ | tee -a bench-results/BENCH_core.txt
 	$(GO) test -bench 'BenchmarkRat' -run XXX ./internal/rat/ | tee -a bench-results/BENCH_core.txt
 	$(GO) test -bench 'BenchmarkInterval' -run XXX ./internal/interval/ | tee -a bench-results/BENCH_core.txt
 	$(GO) run ./cmd/benchjson -in bench-results/BENCH_engine.txt -out bench-results/BENCH_engine.json
@@ -79,6 +82,11 @@ fmt:
 vet:
 	$(GO) vet ./...
 
+# The benchmark module (perfbench/, its own go.mod) is outside the root
+# module, so `go test ./...` never builds it; vet and test it here.
+perfbench-test:
+	cd perfbench && $(GO) vet . && $(GO) test .
+
 integration: ## api golden-file wire tests + client<->server end-to-end
 	$(GO) test ./api/ ./client/ -count=1
 	$(GO) build ./examples/...
@@ -87,7 +95,7 @@ experiments-smoke: ## quick local evaluation pass + local/remote parity
 	$(GO) run ./cmd/experiments -samples 10 fig3b
 	$(GO) test ./cmd/experiments/ -run TestRemoteParity -count=1
 
-check: vet build race integration
+check: vet build race integration perfbench-test
 	@test -z "$$(gofmt -l .)" || { echo "gofmt needed on:"; gofmt -l .; exit 1; }
 	$(GO) test ./internal/server/ -run TestWarmSpeedup -count=1
 

@@ -14,6 +14,7 @@ import (
 
 	"fpgasched/internal/core"
 	"fpgasched/internal/core/bigref"
+	"fpgasched/internal/task"
 	"fpgasched/internal/workload"
 )
 
@@ -128,3 +129,47 @@ func BenchmarkDPScreened(b *testing.B) {
 func BenchmarkDPRef(b *testing.B) {
 	benchAnalyze(b, context.Background(), bigref.DPTest{}, 100)
 }
+
+// figure3Mix is the analyze-cold set mix: Figure-3 Unconstrained or
+// Heterogeneous profile, N ∈ {10, 25, 50}, target US drawn from the
+// paper's 5..100 axis, so accepting and rejecting sets both occur. The
+// corpus is fixed per seed, and every benchmark iteration analyses the
+// next set in it.
+func figure3Mix(n int) []*task.Set {
+	sets := make([]*task.Set, n)
+	for i := range sets {
+		r := workload.Rand(uint64(i) + 1)
+		size := [...]int{10, 25, 50}[r.IntN(3)]
+		p := workload.Unconstrained(size)
+		if r.IntN(2) == 1 {
+			p = workload.Heterogeneous(size)
+		}
+		sets[i], _ = p.GenerateWithTargetUS(r, float64(5*(1+r.IntN(20))))
+	}
+	return sets
+}
+
+func benchFigure3Mix(b *testing.B, t core.Test) {
+	b.Helper()
+	sets := figure3Mix(64)
+	dev := core.NewDevice(workload.FigureDeviceColumns)
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if v := t.Analyze(ctx, dev, sets[i%len(sets)]); v.Err != nil {
+			b.Fatal(v.Err)
+		}
+	}
+}
+
+// BenchmarkGN2Figure3Mix is the GN2 kernel on the analyze-cold shape:
+// one serial, screened analysis per op over the Figure-3 mix (mean
+// ns per set).
+func BenchmarkGN2Figure3Mix(b *testing.B) { benchFigure3Mix(b, core.GN2Test{}) }
+
+// BenchmarkGN1Figure3Mix and BenchmarkDPFigure3Mix are the sibling
+// kernels a cold analyze runs next to GN2, on the same corpus.
+func BenchmarkGN1Figure3Mix(b *testing.B) { benchFigure3Mix(b, core.GN1Test{}) }
+
+func BenchmarkDPFigure3Mix(b *testing.B) { benchFigure3Mix(b, core.DPTest{}) }

@@ -102,7 +102,7 @@ func (g GN2Test) Name() string {
 
 // Analyze implements Test. The λ sweep is the O(N³) heart of the test
 // (N candidates × N tasks × O(N) sum per condition), so cancellation is
-// polled inside checkTask's candidate loop: a disconnected client
+// polled inside check's candidate loop: a disconnected client
 // aborts a large analysis mid-sweep, not after it.
 //
 // The per-task sweeps are independent, so when the context carries a
@@ -190,9 +190,11 @@ func (g GN2Test) Analyze(ctx context.Context, dev Device, s *task.Set) Verdict {
 
 // gn2Sweep holds everything about one (device, taskset) sweep that is
 // shared by — and immutable across — all per-task checks: the exact
-// per-task utilizations, densities and areas, the device bounds, and
-// the global sorted λ candidate list. Sweep workers read it
-// concurrently.
+// per-task utilizations, densities and areas, the device bounds, the
+// global sorted λ candidate list and its per-task case thresholds, and
+// the last valid candidate's evidence when every task shares it. Sweep
+// workers read it concurrently; the lazily built parts sit behind
+// sync.Once.
 type gn2Sweep struct {
 	g             GN2Test
 	s             *task.Set
@@ -202,6 +204,26 @@ type gn2Sweep struct {
 	dens          []rat.R // Ci/Di
 	area          []rat.R // Ai
 	cands         []rat.R // sorted, deduplicated {Ci/Ti} ∪ {Ci/Di : Di > Ti}
+	// constrained lists the tasks with Di < Ti, the only ones whose
+	// case-1 β depends on the analysed task (case1Beta).
+	constrained []int
+	// shareLast holds when the last valid candidate's evaluation is the
+	// same for every task (see lastCheck): no extended search, and every
+	// task has Di ≥ Ti and Ci ≤ Ti.
+	shareLast bool
+
+	// Candidate index (indexOnce): per task i, the first global
+	// candidate at which its β switches to case 1 (λ ≥ Ci/Ti) and to the
+	// middle case (λ ≥ Ci/Di), and the end of the λ ≤ 1 prefix. Task k's
+	// candidates are the suffix from thrU[k] (uk is a member), so an
+	// unextended check compares global indices against these directly.
+	indexOnce  sync.Once
+	thrU, thrD []int
+	validEnd   int
+
+	// The shared last-candidate evidence (lastOnce; shareLast only).
+	lastOnce sync.Once
+	last     BoundCheck
 
 	// Interval-screen state (initScreen; nil/false when the screen is
 	// off): certified float64 enclosures of the sweep invariants, so the
@@ -222,8 +244,8 @@ type gn2Sweep struct {
 // newSweep precomputes the sweep invariants: per-task rationals once
 // per set (not once per candidate), and the paper's λ candidate set
 // sorted and deduplicated once — each task's candidate list is then a
-// suffix of it, found by binary search, since task k considers exactly
-// the candidates ≥ Ck/Tk and Ck/Tk itself is a member.
+// suffix of it, since task k considers exactly the candidates ≥ Ck/Tk
+// and Ck/Tk itself is a member.
 func (g GN2Test) newSweep(s *task.Set, abnd, amin rat.R) *gn2Sweep {
 	n := len(s.Tasks)
 	sw := &gn2Sweep{
@@ -236,6 +258,7 @@ func (g GN2Test) newSweep(s *task.Set, abnd, amin rat.R) *gn2Sweep {
 		dens:          make([]rat.R, n),
 		area:          make([]rat.R, n),
 		cands:         make([]rat.R, 0, 2*n),
+		shareLast:     !g.Options.ExtendedLambdaSearch,
 	}
 	for i, ti := range s.Tasks {
 		sw.ui[i] = rat.FromFrac(int64(ti.C), int64(ti.T))
@@ -245,9 +268,31 @@ func (g GN2Test) newSweep(s *task.Set, abnd, amin rat.R) *gn2Sweep {
 		if ti.D > ti.T {
 			sw.cands = append(sw.cands, sw.dens[i])
 		}
+		if ti.D < ti.T {
+			sw.constrained = append(sw.constrained, i)
+		}
+		if ti.D < ti.T || ti.C > ti.T {
+			sw.shareLast = false
+		}
 	}
 	sw.cands = sortDedupR(sw.cands)
 	return sw
+}
+
+// index builds the candidate index once per sweep, on first use, so
+// that the incremental admit path, which checks one task on a fresh
+// sweep, pays for it only when it runs a sweep loop.
+func (sw *gn2Sweep) index() {
+	sw.indexOnce.Do(func() {
+		n := len(sw.ui)
+		sw.thrU = make([]int, n)
+		sw.thrD = make([]int, n)
+		for i := range sw.ui {
+			sw.thrU[i] = lowerBoundR(sw.cands, sw.ui[i])
+			sw.thrD[i] = lowerBoundR(sw.cands, sw.dens[i])
+		}
+		sw.validEnd = sort.Search(len(sw.cands), func(j int) bool { return sw.cands[j].Cmp(rat.One) > 0 })
+	})
 }
 
 // initScreen switches the sweep onto the interval-screened path and
@@ -274,108 +319,282 @@ func (sw *gn2Sweep) initScreen(stats *ScreenStats) {
 	sw.fabndMinusAmin = interval.FromRat(sw.abndMinusAmin)
 }
 
-// gn2Scratch is the per-worker reusable state: the λ-independent
-// case-1 βs of the task under analysis, the extended-search candidate
-// buffer, and the exact sum accumulators. Nothing in it survives a
-// task check except its capacity.
+// case1Beta is Lemma 7's case-1 βλk(i) = max(ui, ui·(1 − Di/Dk) + Ci/Dk)
+// for a task with utilization ui, where dk is the analysed task's
+// deadline. The second term equals ui + Ci·(Ti − Di)/(Ti·Dk), so the
+// maximum is ui itself whenever Di ≥ Ti — every task of the paper's
+// sets — and the second term, strictly larger, whenever Di < Ti.
+func case1Beta(ti task.Task, ui rat.R, dk int64) rat.R {
+	if ti.D >= ti.T {
+		return ui
+	}
+	return rat.One.Sub(rat.FromFrac(int64(ti.D), dk)).Mul(ui).Add(rat.FromFrac(int64(ti.C), dk))
+}
+
+// beta1 is case1Beta on the sweep's arrays, with its enclosure when the
+// screen is on: the one source of the case-1 β for the full sweep, its
+// unscreened path and the incremental admit.
+func (sw *gn2Sweep) beta1(i, k int) (rat.R, interval.I) {
+	b := case1Beta(sw.s.Tasks[i], sw.ui[i], int64(sw.s.Tasks[k].D))
+	if !sw.screen {
+		return b, interval.I{}
+	}
+	if sw.s.Tasks[i].D >= sw.s.Tasks[i].T {
+		return b, sw.fui[i]
+	}
+	return b, interval.FromRat(b)
+}
+
+// gn2Scratch is the per-worker reusable state: the case-1 βs of the
+// task under analysis, the extended-search candidate buffer, and the
+// exact sum accumulators. Nothing in it survives a task check except
+// its capacity and the k-independent case-1 entries.
 type gn2Scratch struct {
 	b1         []rat.R // case-1 β per interfering task, for the current k
 	cand       []rat.R // extended-search candidate merge buffer
 	sum1, sum2 *rat.Acc
 	last       *rat.Acc // condition-2 LHS of the last tried candidate
 
-	// Screened-path scratch: enclosures of the hoisted case-1 βs and,
-	// per interfering task, the first candidate index at which the β
-	// case switches (the candidate list is sorted, so the exact
-	// per-term case comparisons collapse to two index thresholds,
-	// resolved by binary search once per task instead of twice per
-	// (i, λ) pair).
-	fb1  []interval.I
-	thrU []int // first candidate index with λ >= Ci/Ti (case 1)
-	thrD []int // first candidate index with λ >= Ci/Di (middle case)
+	// Screened-path scratch: enclosures of the case-1 βs, the case-3 β
+	// enclosure p − q·λ with p = ui + Ci/Dk and q = Di/Dk hoisted per
+	// task k (filled only for tasks that can reach case 3), and the
+	// extended search's per-task case thresholds over its merged
+	// candidate list.
+	fb1, fp, fq []interval.I
+	thrU, thrD  []int
 }
 
+// newScratch sizes a worker's scratch and fills the case-1 entries of
+// every task with Di ≥ Ti, which are the same for every k.
 func (sw *gn2Sweep) newScratch() *gn2Scratch {
+	n := len(sw.s.Tasks)
 	sc := &gn2Scratch{
-		b1:   make([]rat.R, len(sw.s.Tasks)),
+		b1:   append([]rat.R(nil), sw.ui...),
 		sum1: new(rat.Acc),
 		sum2: new(rat.Acc),
 		last: new(rat.Acc),
 	}
 	if sw.screen {
-		n := len(sw.s.Tasks)
-		sc.fb1 = make([]interval.I, n)
-		sc.thrU = make([]int, n)
-		sc.thrD = make([]int, n)
+		sc.fb1 = append([]interval.I(nil), sw.fui...)
+		sc.fp = make([]interval.I, n)
+		sc.fq = make([]interval.I, n)
+		if sw.g.Options.ExtendedLambdaSearch {
+			sc.thrU = make([]int, n)
+			sc.thrD = make([]int, n)
+		}
 	}
 	return sc
 }
 
-// check dispatches one task check to the screened or exact sweep.
-func (sw *gn2Sweep) check(ctx context.Context, k int, sc *gn2Scratch) (BoundCheck, error) {
-	if sw.screen {
-		return sw.checkTaskScreened(ctx, k, sc)
-	}
-	return sw.checkTask(ctx, k, sc)
+// gn2Task is one task check's view of its candidates: cands[lo:end) are
+// the λ values task k tries, in order (λ ≥ uk and λk ≤ 1), and thrU/thrD
+// index, in cands, the first candidate at which each interfering task's
+// β switches to case 1 and to the middle case.
+type gn2Task struct {
+	k          int
+	cands      []rat.R
+	lo, end    int
+	thrU, thrD []int
+	scaled     bool
+	mK         rat.R // Tk/Dk when scaled
 }
 
-// checkTask searches the finite λ candidate set for one that satisfies
-// condition 1 or condition 2 for task k. It polls ctx once per
-// candidate (each candidate evaluation is O(N) exact work) and returns
-// ctx's error when cancelled mid-sweep. Heap rationals are allocated
-// only for the returned BoundCheck; every intermediate value lives in
-// sc or on the stack.
-func (sw *gn2Sweep) checkTask(ctx context.Context, k int, sc *gn2Scratch) (BoundCheck, error) {
+// oneMinus is 1 − λk for candidate ci, with λk = λ·max(1, Tk/Dk).
+func (t *gn2Task) oneMinus(ci int) rat.R {
+	if t.scaled {
+		return rat.One.Sub(t.cands[ci].Mul(t.mK))
+	}
+	return rat.One.Sub(t.cands[ci])
+}
+
+// view fills the scratch for task k — the k-dependent case-1 βs and,
+// under the screen, their enclosures and the case-3 enclosure
+// coefficients — and returns its candidate view. The unextended view
+// reads the global list and index directly; the extended search merges
+// its own list and searches its own thresholds.
+func (sw *gn2Sweep) view(k int, sc *gn2Scratch) gn2Task {
+	for _, i := range sw.constrained {
+		var fb interval.I
+		sc.b1[i], fb = sw.beta1(i, k)
+		if sw.screen {
+			sc.fb1[i] = fb
+		}
+	}
 	tk := sw.s.Tasks[k]
-	dk := int64(tk.D)
-
-	// Hoisted per-candidate invariants: the case-1 β of every task i is
-	// independent of λ — βi = max(ui, ui·(1−Di/Dk) + Ci/Dk) — so it is
-	// computed once per (i, k) pair instead of once per (i, k, λ).
-	for i, ti := range sw.s.Tasks {
-		ui := sw.ui[i]
-		alt := rat.One.Sub(rat.FromFrac(int64(ti.D), dk)).Mul(ui).Add(rat.FromFrac(int64(ti.C), dk))
-		sc.b1[i] = rat.Max(ui, alt)
+	t := gn2Task{k: k, scaled: tk.T > tk.D}
+	if t.scaled {
+		t.mK = rat.FromFrac(int64(tk.T), int64(tk.D))
 	}
 
-	// λk = λ·max(1, Tk/Dk): the multiplier is per-task constant.
-	scaled := tk.T > tk.D
-	var mK rat.R
-	if scaled {
-		mK = rat.FromFrac(int64(tk.T), int64(tk.D))
+	sw.index()
+	if sw.g.Options.ExtendedLambdaSearch {
+		t.cands = sw.extendedCandidatesFor(k, sc, sw.cands[sw.thrU[k]:])
+		if sw.screen {
+			for i := range sw.ui {
+				sc.thrU[i] = lowerBoundR(t.cands, sw.ui[i])
+				sc.thrD[i] = lowerBoundR(t.cands, sw.dens[i])
+			}
+			t.thrU, t.thrD = sc.thrU, sc.thrD
+		}
+	} else {
+		t.cands, t.lo, t.thrU, t.thrD = sw.cands, sw.thrU[k], sw.thrU, sw.thrD
 	}
+	// λk increases along the sorted list, so the valid candidates
+	// (λk ≤ 1) form a prefix of the suffix; an unscaled unextended check
+	// shares the global end.
+	if t.scaled || sw.g.Options.ExtendedLambdaSearch {
+		t.end = t.lo + sort.Search(len(t.cands)-t.lo, func(j int) bool { return t.oneMinus(t.lo+j).Sign() < 0 })
+	} else {
+		t.end = max(sw.validEnd, t.lo)
+	}
+	if sw.screen {
+		// Case 3 needs λ < min(Ci/Ti, Ci/Di), so only tasks whose
+		// thresholds lie past the first candidate ever select it; the
+		// screens read fp/fq for no other task.
+		fDk := sw.fD[k]
+		for i := range sw.ui {
+			if min(t.thrU[i], t.thrD[i]) > t.lo {
+				sc.fp[i] = sw.fui[i].Add(sw.fC[i].Quo(fDk))
+				sc.fq[i] = sw.fD[i].Quo(fDk)
+			}
+		}
+	}
+	return t
+}
 
-	cands := sw.candidatesFor(k, sc)
+// check searches task k's λ candidates for one that satisfies condition
+// 1 or condition 2. It polls ctx once per candidate (each candidate
+// evaluation is O(N) exact work) and returns ctx's error when cancelled
+// mid-sweep. Heap rationals are allocated only for the returned
+// BoundCheck; every intermediate value lives in sc or on the stack.
+//
+// λ > 1/max(1, Tk/Dk), i.e. λk > 1, is never tried: it makes the
+// proof's Lemma-9 instantiation (x = (1−λk)δ > 0) vacuous, so condition
+// 1 would degenerate to the meaningless "ΣAi > Abnd" and certify
+// nothing. Such λ are outside the theorem's effective range (DESIGN.md
+// item T3-RANGE, found by the dense-λ completeness test).
+//
+// With the screen on, the certified interval pre-filter sits in front
+// of the exact kernel. Every candidate's conditions are first evaluated
+// on float64 enclosures; a candidate whose condition-1 AND condition-2
+// intervals certainly violate cannot be the accepting one (the
+// enclosure invariant makes "certainly violated" imply "exactly
+// violated"), so its exact evaluation is skipped. Any other candidate —
+// straddling, or certainly satisfied — escalates to evalCandidate, so
+// the first accepting candidate, its certificate values, and the
+// task-order failing attribution are byte-identical to the exact sweep
+// (enforced by the screen-on/screen-off/bigref differential suite).
+func (sw *gn2Sweep) check(ctx context.Context, k int, sc *gn2Scratch) (BoundCheck, error) {
+	var decided, escalated uint64
+	defer func() { sw.stats.add(decided, escalated) }()
+
+	t := sw.view(k, sc)
+	if t.end <= t.lo {
+		return BoundCheck{}, nil
+	}
+	lastIdx := t.end - 1
+
 	var lastRHS rat.R
-	lastValid := false
-	for _, lambda := range cands {
+	lastExactIdx := -1
+	// Range-level screen in front of the per-candidate screen: before
+	// building full interval sums candidate by candidate, try to certify
+	// that a whole block of consecutive candidates violates both
+	// conditions, using one interval evaluation over the block's λ hull.
+	// A certified block is disposed of in O(N) total instead of O(N) per
+	// candidate. Blocks grow while certification keeps succeeding and
+	// reset when it fails, so the overhead on never-certifiable sweeps is
+	// bounded by one range evaluation per blockMin candidates. The
+	// per-candidate path below is unchanged, so escalation order — and
+	// with it the first accepting candidate — is preserved.
+	ci := t.lo
+	block := gn2RangeBlockMin
+	for ci < t.end {
 		if err := ctx.Err(); err != nil {
 			return BoundCheck{}, err
 		}
-		lambdaK := lambda
-		if scaled {
-			lambdaK = lambda.Mul(mK)
-		}
-		oneMinus := rat.One.Sub(lambdaK)
-		if oneMinus.Sign() < 0 {
-			// λk > 1 makes the proof's Lemma-9 instantiation (x =
-			// (1−λk)δ > 0) vacuous: condition 1 would degenerate to the
-			// meaningless "ΣAi > Abnd" and certify nothing. Such λ are
-			// outside the theorem's effective range (DESIGN.md item
-			// T3-RANGE, found by the dense-λ completeness test).
+		if sw.screen && t.end-ci >= block && sw.rangeViolated(&t, ci, ci+block, sc) {
+			decided += uint64(block)
+			ci += block
+			if block < gn2RangeBlockMax {
+				block *= 2
+			}
 			continue
 		}
-		chk, rhs2, accepted := sw.evalCandidate(k, lambda, oneMinus, sc)
+		end := min(ci+block, t.end)
+		block = gn2RangeBlockMin
+		for ; ci < end; ci++ {
+			if err := ctx.Err(); err != nil {
+				return BoundCheck{}, err
+			}
+			if ci == lastIdx && sw.shareLast {
+				// The last candidate ends the check either way: its
+				// evaluation is the same for every task, so it is
+				// computed once per sweep. Screened or not, it counts as
+				// escalated, as a re-derived screened-out last one does.
+				escalated++
+				return sw.lastCheck(sc), nil
+			}
+			oneMinus := t.oneMinus(ci)
+			if sw.screen {
+				if sw.candidateViolated(&t, ci, oneMinus, sc) {
+					decided++
+					continue
+				}
+				escalated++
+			}
+			chk, rhs2, accepted := sw.evalCandidate(k, t.cands[ci], oneMinus, sc)
+			if accepted {
+				return chk, nil
+			}
+			lastRHS = rhs2
+			lastExactIdx = ci
+		}
+	}
+	if lastExactIdx != lastIdx {
+		// No candidate accepted and the last tried one was screened
+		// out — but the failing certificate carries exactly its
+		// condition-2 evidence. Re-derive it with the exact kernel (it
+		// migrates from decided to escalated: its exact values were
+		// needed after all). Acceptance here is impossible for a sound
+		// screen, but the exact kernel keeps authority if it happens.
+		decided--
+		escalated++
+		if sw.shareLast {
+			return sw.lastCheck(sc), nil
+		}
+		chk, rhs2, accepted := sw.evalCandidate(k, t.cands[lastIdx], t.oneMinus(lastIdx), sc)
 		if accepted {
 			return chk, nil
 		}
 		lastRHS = rhs2
-		lastValid = true
-	}
-	if !lastValid {
-		return BoundCheck{}, nil
 	}
 	return BoundCheck{LHS: sc.last.Rat(), RHS: lastRHS.Rat(), Satisfied: false}, nil
+}
+
+// lastCheck returns the evidence at the last valid global candidate λ*
+// on a sweep with shareLast, in fresh big.Rats the caller owns. Every
+// ui ≤ 1 is a candidate, so ui ≤ λ*: every task is in case 1 there, with
+// β = ui whatever the analysed task since Di ≥ Ti; every task is
+// unscaled, so λk = λ* and both right-hand sides are the same too. The evaluation — an acceptance or the failing
+// certificate's condition-2 evidence — is thus identical for every k and
+// runs once per sweep, on the scratch of the first worker to need it
+// (its case-1 entries are all ui: there are no constrained tasks).
+func (sw *gn2Sweep) lastCheck(sc *gn2Scratch) BoundCheck {
+	sw.lastOnce.Do(func() {
+		lambda := sw.cands[sw.validEnd-1]
+		chk, rhs2, accepted := sw.evalCandidate(0, lambda, rat.One.Sub(lambda), sc)
+		if !accepted {
+			chk = BoundCheck{LHS: sc.last.Rat(), RHS: rhs2.Rat()}
+		}
+		sw.last = chk
+	})
+	chk := sw.last
+	chk.LHS = new(big.Rat).Set(chk.LHS)
+	chk.RHS = new(big.Rat).Set(chk.RHS)
+	if chk.Lambda != nil {
+		chk.Lambda = new(big.Rat).Set(chk.Lambda)
+	}
+	return chk
 }
 
 // evalCandidate evaluates conditions 1 and 2 exactly for one λ
@@ -441,177 +660,53 @@ func (sw *gn2Sweep) evalCandidate(k int, lambda, oneMinus rat.R, sc *gn2Scratch)
 // oneIv is condition 2's constant cap as an exact interval.
 var oneIv = interval.Point(1)
 
-// checkTaskScreened is checkTask with the certified interval pre-filter
-// in front of the exact kernel. Every candidate's conditions are first
-// evaluated on float64 enclosures; a candidate whose condition-1 AND
-// condition-2 intervals certainly violate cannot be the accepting one
-// (the enclosure invariant makes "certainly violated" imply "exactly
-// violated"), so its exact evaluation is skipped. Any other candidate —
-// straddling, or certainly satisfied — escalates to evalCandidate, so
-// the first accepting candidate, its certificate values, and the
-// task-order failing attribution are byte-identical to the exact sweep
-// (enforced by the screen-on/screen-off/bigref differential suite).
-func (sw *gn2Sweep) checkTaskScreened(ctx context.Context, k int, sc *gn2Scratch) (BoundCheck, error) {
-	tk := sw.s.Tasks[k]
-	dk := int64(tk.D)
-	var decided, escalated uint64
-	defer func() { sw.stats.add(decided, escalated) }()
-
-	// Hoisted exactly as in checkTask — the exact case-1 βs also feed
-	// every escalated evaluation — plus their enclosures.
-	for i, ti := range sw.s.Tasks {
-		ui := sw.ui[i]
-		alt := rat.One.Sub(rat.FromFrac(int64(ti.D), dk)).Mul(ui).Add(rat.FromFrac(int64(ti.C), dk))
-		sc.b1[i] = rat.Max(ui, alt)
-		sc.fb1[i] = interval.FromRat(sc.b1[i])
+// violatesBoth reports whether enclosures s1 and s2 of the two
+// condition sums certainly violate both conditions at the enclosed
+// 1 − λk: condition 1 is strict "<" (violated ⇔ ≥), condition 2's
+// violation depends on the strictness option. Every screen — per
+// candidate, per range, and the incremental admit's — decides through
+// here.
+func (sw *gn2Sweep) violatesBoth(s1, s2, fOneMinus interval.I) bool {
+	if !s1.AllGreaterEq(sw.fabnd.Mul(fOneMinus)) {
+		return false
 	}
-
-	scaled := tk.T > tk.D
-	var mK rat.R
-	if scaled {
-		mK = rat.FromFrac(int64(tk.T), int64(tk.D))
+	frhs2 := sw.fabndMinusAmin.Mul(fOneMinus).Add(sw.famin)
+	if sw.g.Options.CondTwoNonStrict {
+		return s2.AllGreater(frhs2)
 	}
+	return s2.AllGreaterEq(frhs2)
+}
 
-	cands := sw.candidatesFor(k, sc)
-	// The candidate list is sorted ascending, so the exact per-term β
-	// case tests "λ ≥ Ci/Ti" and "λ ≥ Ci/Di" hold exactly for the
-	// candidates at or beyond a threshold index, found once per task by
-	// binary search. The screened inner loop then selects β cases by
-	// integer comparison — bit-identically to the exact comparisons.
+// midBeta encloses the middle-case β of task i for the analysed task k.
+func (sw *gn2Sweep) midBeta(i, k int) interval.I {
+	if sw.g.Options.CaseTwoBaker {
+		return sw.fdens[i]
+	}
+	return sw.fui[k]
+}
+
+// candidateViolated is the per-candidate screen: it evaluates both
+// condition sums at cands[ci] on enclosures, selecting each task's β
+// case by integer comparison with the thresholds — bit-identically to
+// evalCandidate's exact comparisons, since the list is sorted.
+func (sw *gn2Sweep) candidateViolated(t *gn2Task, ci int, oneMinus rat.R, sc *gn2Scratch) bool {
+	fLambda := interval.FromRat(t.cands[ci])
+	fOneMinus := interval.FromRat(oneMinus)
+	var s1, s2 interval.Acc
 	for i := range sw.ui {
-		ui, di := sw.ui[i], sw.dens[i]
-		sc.thrU[i] = sort.Search(len(cands), func(j int) bool { return cands[j].Cmp(ui) >= 0 })
-		sc.thrD[i] = sort.Search(len(cands), func(j int) bool { return cands[j].Cmp(di) >= 0 })
+		var fb interval.I
+		switch {
+		case ci >= t.thrU[i]:
+			fb = sc.fb1[i]
+		case ci >= t.thrD[i]:
+			fb = sw.midBeta(i, t.k)
+		default:
+			fb = sc.fp[i].Sub(sc.fq[i].Mul(fLambda))
+		}
+		s1.AddScaled(sw.farea[i], interval.Min(fb, fOneMinus))
+		s2.AddScaled(sw.farea[i], interval.Min(fb, oneIv))
 	}
-
-	fDk := sw.fD[k]
-
-	// The λk ≤ 1 range check is monotone — λk = λ·mK increases along the
-	// sorted candidate list — so the "tried" candidates form a prefix,
-	// found once by exact binary search instead of once per candidate
-	// (the predicate is the same exact comparison the per-candidate skip
-	// used: 1 − λ·mK < 0 ⇔ λ·mK > 1).
-	validEnd := len(cands)
-	if scaled {
-		validEnd = sort.Search(len(cands), func(j int) bool { return cands[j].Mul(mK).Cmp(rat.One) > 0 })
-	} else {
-		validEnd = sort.Search(len(cands), func(j int) bool { return cands[j].Cmp(rat.One) > 0 })
-	}
-
-	var lastRHS rat.R
-	lastExactIdx := -1
-	// Range-level screen in front of the per-candidate screen: before
-	// building full interval sums candidate by candidate, try to certify
-	// that a whole block of consecutive candidates violates both
-	// conditions, using one interval evaluation over the block's λ hull.
-	// A certified block is disposed of in O(N) total instead of O(N) per
-	// candidate. Blocks grow while certification keeps succeeding and
-	// reset when it fails, so the overhead on never-certifiable sweeps is
-	// bounded by one range evaluation per blockMin candidates. The
-	// per-candidate path below is unchanged, so escalation order — and
-	// with it the first accepting candidate — is preserved.
-	ci := 0
-	block := gn2RangeBlockMin
-	for ci < validEnd {
-		if err := ctx.Err(); err != nil {
-			return BoundCheck{}, err
-		}
-		if validEnd-ci >= block && sw.rangeViolated(k, cands, ci, ci+block, scaled, mK, fDk, sc) {
-			decided += uint64(block)
-			ci += block
-			if block < gn2RangeBlockMax {
-				block *= 2
-			}
-			continue
-		}
-		end := ci + block
-		if end > validEnd {
-			end = validEnd
-		}
-		block = gn2RangeBlockMin
-		for ; ci < end; ci++ {
-			if err := ctx.Err(); err != nil {
-				return BoundCheck{}, err
-			}
-			lambda := cands[ci]
-			lambdaK := lambda
-			if scaled {
-				lambdaK = lambda.Mul(mK)
-			}
-			oneMinus := rat.One.Sub(lambdaK)
-
-			fLambda := interval.FromRat(lambda)
-			fOneMinus := interval.FromRat(oneMinus)
-			var s1, s2 interval.Acc
-			for i := range sw.ui {
-				var fb interval.I
-				if ci >= sc.thrU[i] {
-					fb = sc.fb1[i]
-				} else if ci >= sc.thrD[i] {
-					if sw.g.Options.CaseTwoBaker {
-						fb = sw.fdens[i]
-					} else {
-						fb = sw.fui[k]
-					}
-				} else {
-					fb = sw.fui[i].Add(sw.fC[i].Sub(fLambda.Mul(sw.fD[i])).Quo(fDk))
-				}
-				s1.AddScaled(sw.farea[i], interval.Min(fb, fOneMinus))
-				s2.AddScaled(sw.farea[i], interval.Min(fb, oneIv))
-			}
-
-			// A candidate is screened out only when BOTH conditions are
-			// certainly violated on the enclosures; condition 1 is strict
-			// "<" (violated ⇔ ≥), condition 2's violation depends on the
-			// strictness option.
-			violated := s1.I().AllGreaterEq(sw.fabnd.Mul(fOneMinus))
-			if violated {
-				frhs2 := sw.fabndMinusAmin.Mul(fOneMinus).Add(sw.famin)
-				if sw.g.Options.CondTwoNonStrict {
-					violated = s2.I().AllGreater(frhs2)
-				} else {
-					violated = s2.I().AllGreaterEq(frhs2)
-				}
-			}
-			if violated {
-				decided++
-				continue
-			}
-			escalated++
-			chk, rhs2, accepted := sw.evalCandidate(k, lambda, oneMinus, sc)
-			if accepted {
-				return chk, nil
-			}
-			lastRHS = rhs2
-			lastExactIdx = ci
-		}
-	}
-	lastIdx := validEnd - 1
-	if lastIdx < 0 {
-		return BoundCheck{}, nil
-	}
-	if lastExactIdx != lastIdx {
-		// No candidate accepted and the last tried one was screened
-		// out — but the failing certificate carries exactly its
-		// condition-2 evidence. Re-derive it with the exact kernel (it
-		// migrates from decided to escalated: its exact values were
-		// needed after all). Acceptance here is impossible for a sound
-		// screen, but the exact kernel keeps authority if it happens.
-		decided--
-		escalated++
-		lambda := cands[lastIdx]
-		lambdaK := lambda
-		if scaled {
-			lambdaK = lambda.Mul(mK)
-		}
-		oneMinus := rat.One.Sub(lambdaK)
-		chk, rhs2, accepted := sw.evalCandidate(k, lambda, oneMinus, sc)
-		if accepted {
-			return chk, nil
-		}
-		lastRHS = rhs2
-	}
-	return BoundCheck{LHS: sc.last.Rat(), RHS: lastRHS.Rat(), Satisfied: false}, nil
+	return sw.violatesBoth(s1.I(), s2.I(), fOneMinus)
 }
 
 // gn2RangeBlockMin/Max bound the range screen's block sizes: blocks
@@ -628,35 +723,24 @@ const (
 // per-candidate sums. λ is enclosed by the hull of the block's
 // endpoints (the list is sorted), 1−λk by 1 − mK·λ over that hull, and
 // each task's β by the hull of every case value the block's indices can
-// select (the β case switches at the exact index thresholds already in
-// sc.thrU/thrD, so case selection per index stays exact). For any
-// specific λ in the block, each exact quantity lies inside its
-// enclosure, so LHS(λ) ≥ lo(sum) and RHS(λ) ≤ hi(rhs); lo(sum) ≥
-// hi(rhs) for both conditions therefore proves every candidate fails —
-// the same soundness argument as the per-candidate screen, lifted to a
-// range. It can only return false negatives (a violating block it
-// cannot certify), never screen out an accepting candidate.
-func (sw *gn2Sweep) rangeViolated(k int, cands []rat.R, lo, hi int, scaled bool, mK rat.R, fDk interval.I, sc *gn2Scratch) bool {
-	fLambda := interval.Hull(interval.FromRat(cands[lo]), interval.FromRat(cands[hi-1]))
+// select (the β case switches at the exact index thresholds t.thrU/thrD,
+// so case selection per index stays exact). For any specific λ in the
+// block, each exact quantity lies inside its enclosure, so LHS(λ) ≥
+// lo(sum) and RHS(λ) ≤ hi(rhs); lo(sum) ≥ hi(rhs) for both conditions
+// therefore proves every candidate fails — the same soundness argument
+// as the per-candidate screen, lifted to a range. It can only return
+// false negatives (a violating block it cannot certify), never screen
+// out an accepting candidate.
+func (sw *gn2Sweep) rangeViolated(t *gn2Task, lo, hi int, sc *gn2Scratch) bool {
+	fLambda := interval.Hull(interval.FromRat(t.cands[lo]), interval.FromRat(t.cands[hi-1]))
 	fOneMinus := oneIv.Sub(fLambda)
-	if scaled {
-		fOneMinus = oneIv.Sub(interval.FromRat(mK).Mul(fLambda))
-	}
-
-	var fmid interval.I
-	if sw.g.Options.CaseTwoBaker {
-		fmid = interval.I{} // per-task, resolved below
-	} else {
-		fmid = sw.fui[k]
+	if t.scaled {
+		fOneMinus = oneIv.Sub(interval.FromRat(t.mK).Mul(fLambda))
 	}
 
 	var s1, s2 interval.Acc
 	for i := range sw.ui {
-		thrU, thrD := sc.thrU[i], sc.thrD[i]
-		mid := fmid
-		if sw.g.Options.CaseTwoBaker {
-			mid = sw.fdens[i]
-		}
+		thrU, thrD := t.thrU[i], t.thrD[i]
 		var fb interval.I
 		switch {
 		case lo >= thrU:
@@ -664,11 +748,11 @@ func (sw *gn2Sweep) rangeViolated(k int, cands []rat.R, lo, hi int, scaled bool,
 			fb = sc.fb1[i]
 		case hi <= thrU && lo >= thrD:
 			// Middle case for the whole block.
-			fb = mid
+			fb = sw.midBeta(i, t.k)
 		case hi <= thrU && hi <= thrD:
-			// Case 3 for the whole block: β(λ) = ui + (Ci − λ·Di)/Dk,
-			// evaluated over the block's λ hull.
-			fb = sw.fui[i].Add(sw.fC[i].Sub(fLambda.Mul(sw.fD[i])).Quo(fDk))
+			// Case 3 for the whole block: β(λ) = p − q·λ over the
+			// block's λ hull.
+			fb = sc.fp[i].Sub(sc.fq[i].Mul(fLambda))
 		default:
 			// The block straddles a case threshold: hull every case any
 			// of its indices selects. The case-3 piece is evaluated over
@@ -685,53 +769,17 @@ func (sw *gn2Sweep) rangeViolated(k int, cands []rat.R, lo, hi int, scaled bool,
 			if hi > thrU {
 				add(sc.fb1[i])
 			}
-			mlo, mhi := lo, hi
-			if thrD > mlo {
-				mlo = thrD
+			if max(lo, thrD) < min(hi, thrU) {
+				add(sw.midBeta(i, t.k))
 			}
-			if thrU < mhi {
-				mhi = thrU
-			}
-			if mlo < mhi {
-				add(mid)
-			}
-			c3hi := hi
-			if thrD < c3hi {
-				c3hi = thrD
-			}
-			if thrU < c3hi {
-				c3hi = thrU
-			}
-			if lo < c3hi {
-				add(sw.fui[i].Add(sw.fC[i].Sub(fLambda.Mul(sw.fD[i])).Quo(fDk)))
+			if lo < min(hi, thrD, thrU) {
+				add(sc.fp[i].Sub(sc.fq[i].Mul(fLambda)))
 			}
 		}
 		s1.AddScaled(sw.farea[i], interval.Min(fb, fOneMinus))
 		s2.AddScaled(sw.farea[i], interval.Min(fb, oneIv))
 	}
-
-	if !s1.I().AllGreaterEq(sw.fabnd.Mul(fOneMinus)) {
-		return false
-	}
-	frhs2 := sw.fabndMinusAmin.Mul(fOneMinus).Add(sw.famin)
-	if sw.g.Options.CondTwoNonStrict {
-		return s2.I().AllGreater(frhs2)
-	}
-	return s2.I().AllGreaterEq(frhs2)
-}
-
-// candidatesFor returns task k's λ candidates in ascending order: the
-// suffix of the global sorted candidate list starting at uk (uk is
-// always a member), plus — under ExtendedLambdaSearch — the
-// min-crossing breakpoints, merged in the scratch buffer.
-func (sw *gn2Sweep) candidatesFor(k int, sc *gn2Scratch) []rat.R {
-	uk := sw.ui[k]
-	idx := sort.Search(len(sw.cands), func(i int) bool { return sw.cands[i].Cmp(uk) >= 0 })
-	base := sw.cands[idx:]
-	if !sw.g.Options.ExtendedLambdaSearch {
-		return base
-	}
-	return sw.extendedCandidatesFor(k, sc, base)
+	return sw.violatesBoth(s1.I(), s2.I(), fOneMinus)
 }
 
 // extendedCandidatesFor appends, for the analysed task tk, every λ at
@@ -809,7 +857,7 @@ func sortDedupR(rs []rat.R) []rat.R {
 // machinery for exactly one task with explicitly supplied bounds.
 func (g GN2Test) checkTask(ctx context.Context, s *task.Set, k int, abnd, amin *big.Rat) (BoundCheck, error) {
 	sw := g.newSweep(s, rat.FromBig(abnd), rat.FromBig(amin))
-	return sw.checkTask(ctx, k, sw.newScratch())
+	return sw.check(ctx, k, sw.newScratch())
 }
 
 // beta evaluates Lemma 7's βλk(i) for one task pair, on the production
@@ -823,9 +871,7 @@ func (g GN2Test) beta(ti, tk task.Task, lambda *big.Rat) *big.Rat {
 func (g GN2Test) betaR(ti, tk task.Task, lambda rat.R) rat.R {
 	ui := rat.FromFrac(int64(ti.C), int64(ti.T))
 	if ui.Cmp(lambda) <= 0 {
-		// max(Ci/Ti, Ci/Ti·(1 − Di/Dk) + Ci/Dk).
-		alt := rat.One.Sub(rat.FromFrac(int64(ti.D), int64(tk.D))).Mul(ui).Add(rat.FromFrac(int64(ti.C), int64(tk.D)))
-		return rat.Max(ui, alt)
+		return case1Beta(ti, ui, int64(tk.D))
 	}
 	dens := rat.FromFrac(int64(ti.C), int64(ti.D))
 	if lambda.Cmp(dens) >= 0 {

@@ -376,30 +376,16 @@ func gn2ScreenFails(sw *gn2Sweep, k int, lambda rat.R) bool {
 	for i := range sw.ui {
 		var fb interval.I
 		if sw.ui[i].Cmp(lambda) <= 0 {
-			// Case 1, enclosed directly in floats (the sweep hoists the
-			// exact value; any sound enclosure works for screening).
-			alt := oneIv.Sub(sw.fD[i].Quo(fDk)).Mul(sw.fui[i]).Add(sw.fC[i].Quo(fDk))
-			fb = interval.Max(sw.fui[i], alt)
+			_, fb = sw.beta1(i, k)
 		} else if lambda.Cmp(sw.dens[i]) >= 0 {
-			if sw.g.Options.CaseTwoBaker {
-				fb = sw.fdens[i]
-			} else {
-				fb = sw.fui[k]
-			}
+			fb = sw.midBeta(i, k)
 		} else {
 			fb = sw.fui[i].Add(sw.fC[i].Sub(fLambda.Mul(sw.fD[i])).Quo(fDk))
 		}
 		s1.AddScaled(sw.farea[i], interval.Min(fb, fOneMinus))
 		s2.AddScaled(sw.farea[i], interval.Min(fb, oneIv))
 	}
-	if !s1.I().AllGreaterEq(sw.fabnd.Mul(fOneMinus)) {
-		return false
-	}
-	frhs2 := sw.fabndMinusAmin.Mul(fOneMinus).Add(sw.famin)
-	if sw.g.Options.CondTwoNonStrict {
-		return s2.I().AllGreater(frhs2)
-	}
-	return s2.I().AllGreaterEq(frhs2)
+	return sw.violatesBoth(s1.I(), s2.I(), fOneMinus)
 }
 
 // witnessDelta re-checks task k's committed witness against the trial
@@ -451,16 +437,14 @@ func (st *gn2AdmitState) witnessDelta(sw *gn2Sweep, k int, w rat.R) gn2Recheck {
 }
 
 // gn2BetaAt is Lemma 7's βλk(i) on the sweep's exact arrays, with the
-// case-1 value computed in place (the incremental path evaluates too
-// few candidates per task to amortize the sweep's hoisted b1 row). The
+// case-1 value from beta1 (the incremental path evaluates too few
+// candidates per task to amortize the sweep's per-task b1 row). The
 // case comparisons and arithmetic mirror evalCandidate exactly.
 func gn2BetaAt(sw *gn2Sweep, k, i int, lambda rat.R) rat.R {
 	ui := sw.ui[i]
 	if ui.Cmp(lambda) <= 0 {
-		ti := sw.s.Tasks[i]
-		dk := int64(sw.s.Tasks[k].D)
-		alt := rat.One.Sub(rat.FromFrac(int64(ti.D), dk)).Mul(ui).Add(rat.FromFrac(int64(ti.C), dk))
-		return rat.Max(ui, alt)
+		b, _ := sw.beta1(i, k)
+		return b
 	}
 	if lambda.Cmp(sw.dens[i]) >= 0 {
 		if sw.g.Options.CaseTwoBaker {

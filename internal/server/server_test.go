@@ -638,12 +638,16 @@ func TestWarmSpeedup(t *testing.T) {
 	}
 	srv := New(Config{EngineConfig: engine.Config{Workers: 2, CacheSize: 256}})
 	defer srv.Close()
-	// A diverse 60-task workload: distinct utilizations give GN2's λ
+	// A diverse 150-task workload: distinct utilizations give GN2's λ
 	// sweep a full-size candidate set, so the cold analysis dwarfs the
 	// fixed request-serving overhead even on the exact fast-path
 	// arithmetic (a tiled taskset's candidate set collapses after
 	// dedup, which would measure HTTP overhead instead of the cache).
-	s := workload.Unconstrained(60).Generate(workload.Rand(1))
+	// The serving overhead grows linearly with the set and the sweep
+	// faster, so the set must be large enough for the sweep to
+	// dominate: at 60 tasks the screened sweep takes about 2 ms, only
+	// a few times the ~0.4 ms of decoding and encoding a hit.
+	s := workload.Unconstrained(150).Generate(workload.Rand(1))
 	cols := workload.FigureDeviceColumns
 	post := func(body string) {
 		req := httptest.NewRequest("POST", "/v1/analyze", strings.NewReader(body))
