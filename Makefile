@@ -24,6 +24,9 @@ race:
 # to the screen-off baselines. The *Figure3Mix rows run the three
 # kernels on the analyze-cold set mix (Figure-3 profiles, N 10–50),
 # 640 sets each: ten passes over the fixed 64-set corpus.
+# BENCH_codec.json tracks the task-set wire codec at N = 10/25/50 on
+# Figure-3 sets: the client's request encode (json.Marshal), the
+# server's strict request decode, and the exact UtilizationS sum.
 # `make bench-all` runs every benchmark in the repo.
 bench:
 	mkdir -p bench-results
@@ -36,6 +39,8 @@ bench:
 	$(GO) run ./cmd/benchjson -in bench-results/BENCH_engine.txt -out bench-results/BENCH_engine.json
 	$(GO) run ./cmd/benchjson -in bench-results/BENCH_gn2.txt -out bench-results/BENCH_gn2.json
 	$(GO) run ./cmd/benchjson -in bench-results/BENCH_core.txt -out bench-results/BENCH_core.json
+	$(GO) test -bench 'BenchmarkSetMarshal|BenchmarkSetUnmarshal|BenchmarkUtilizationS' -benchtime 2000x -run XXX ./internal/task/ | tee bench-results/BENCH_codec.txt
+	$(GO) run ./cmd/benchjson -in bench-results/BENCH_codec.txt -out bench-results/BENCH_codec.json
 
 bench-all:
 	$(GO) test -bench . -benchtime 100x -run XXX ./...

@@ -23,7 +23,8 @@ func strictUnmarshal(data []byte, v any) error {
 }
 
 // jsonTask is the wire form of Task: durations as decimal strings so files
-// stay exact and human-editable.
+// stay exact and human-editable. Task.UnmarshalJSON decodes into it by
+// reflection, setDecoder by hand.
 type jsonTask struct {
 	Name string `json:"name,omitempty"`
 	C    string `json:"c"`
@@ -32,20 +33,9 @@ type jsonTask struct {
 	A    int    `json:"a"`
 }
 
-// jsonSet is the wire form of Set.
-type jsonSet struct {
-	Tasks []jsonTask `json:"tasks"`
-}
-
 // MarshalJSON implements json.Marshaler for Task.
 func (t Task) MarshalJSON() ([]byte, error) {
-	return json.Marshal(jsonTask{
-		Name: t.Name,
-		C:    t.C.String(),
-		D:    t.D.String(),
-		T:    t.T.String(),
-		A:    t.A,
-	})
+	return appendTaskJSON(make([]byte, 0, 64), t), nil
 }
 
 // UnmarshalJSON implements json.Unmarshaler for Task.
@@ -54,45 +44,94 @@ func (t *Task) UnmarshalJSON(data []byte) error {
 	if err := strictUnmarshal(data, &jt); err != nil {
 		return err
 	}
-	c, err := timeunit.Parse(jt.C)
+	tk, err := jt.task()
 	if err != nil {
-		return fmt.Errorf("task %q: field c: %w", jt.Name, err)
+		return err
 	}
-	d, err := timeunit.Parse(jt.D)
-	if err != nil {
-		return fmt.Errorf("task %q: field d: %w", jt.Name, err)
-	}
-	tt, err := timeunit.Parse(jt.T)
-	if err != nil {
-		return fmt.Errorf("task %q: field t: %w", jt.Name, err)
-	}
-	*t = Task{Name: jt.Name, C: c, D: d, T: tt, A: jt.A}
+	*t = tk
 	return nil
 }
 
-// MarshalJSON implements json.Marshaler for Set.
-func (s *Set) MarshalJSON() ([]byte, error) {
-	out := jsonSet{Tasks: make([]jsonTask, len(s.Tasks))}
-	for i, t := range s.Tasks {
-		out.Tasks[i] = jsonTask{Name: t.Name, C: t.C.String(), D: t.D.String(), T: t.T.String(), A: t.A}
+// task converts the wire form to a Task, naming the field of a bad
+// duration.
+func (jt *jsonTask) task() (Task, error) {
+	c, err := timeunit.Parse(jt.C)
+	if err != nil {
+		return Task{}, fmt.Errorf("task %q: field c: %w", jt.Name, err)
 	}
-	return json.MarshalIndent(out, "", "  ")
+	d, err := timeunit.Parse(jt.D)
+	if err != nil {
+		return Task{}, fmt.Errorf("task %q: field d: %w", jt.Name, err)
+	}
+	tt, err := timeunit.Parse(jt.T)
+	if err != nil {
+		return Task{}, fmt.Errorf("task %q: field t: %w", jt.Name, err)
+	}
+	return Task{Name: jt.Name, C: c, D: d, T: tt, A: jt.A}, nil
 }
 
-// UnmarshalJSON implements json.Unmarshaler for Set.
-func (s *Set) UnmarshalJSON(data []byte) error {
-	var js struct {
-		Tasks []json.RawMessage `json:"tasks"`
+// MarshalJSON implements json.Marshaler for Set. It appends the compact
+// form {"tasks":[...]} directly ("tasks":[] for an empty set): the bytes
+// encoding/json produces for a struct with a []jsonTask "tasks" field.
+func (s *Set) MarshalJSON() ([]byte, error) {
+	b := make([]byte, 0, 16+64*len(s.Tasks))
+	b = append(b, `{"tasks":[`...)
+	for i, t := range s.Tasks {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = appendTaskJSON(b, t)
 	}
-	if err := strictUnmarshal(data, &js); err != nil {
-		return err
+	return append(b, "]}"...), nil
+}
+
+// appendTaskJSON appends the compact wire form of t, field for field
+// what encoding/json writes for jsonTask.
+func appendTaskJSON(b []byte, t Task) []byte {
+	b = append(b, '{')
+	if t.Name != "" {
+		b = append(b, `"name":`...)
+		b = appendJSONString(b, t.Name)
+		b = append(b, ',')
 	}
-	s.Tasks = make([]Task, len(js.Tasks))
-	for i, raw := range js.Tasks {
-		if err := s.Tasks[i].UnmarshalJSON(raw); err != nil {
-			return fmt.Errorf("tasks[%d]: %w", i, err)
+	b = append(b, `"c":"`...)
+	b = t.C.AppendText(b)
+	b = append(b, `","d":"`...)
+	b = t.D.AppendText(b)
+	b = append(b, `","t":"`...)
+	b = t.T.AppendText(b)
+	b = append(b, `","a":`...)
+	b = strconv.AppendInt(b, int64(t.A), 10)
+	return append(b, '}')
+}
+
+// appendJSONString appends s as a JSON string literal escaped exactly
+// as encoding/json escapes it (HTML-safe). Printable ASCII other than
+// " \ < > & is copied as is; any other name goes through encoding/json
+// itself, so the rare escaped name cannot drift from the standard
+// library's rules.
+func appendJSONString(b []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c >= 0x7f || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			q, _ := json.Marshal(s) // a string always marshals
+			return append(b, q...)
 		}
 	}
+	b = append(b, '"')
+	b = append(b, s...)
+	return append(b, '"')
+}
+
+// UnmarshalJSON implements json.Unmarshaler for Set with a one-pass
+// strict parser (see setDecoder for the rules it shares with
+// encoding/json). On error the receiver is left unchanged.
+func (s *Set) UnmarshalJSON(data []byte) error {
+	d := setDecoder{data: data}
+	tasks, err := d.set()
+	if err != nil {
+		return err
+	}
+	s.Tasks = tasks
 	return nil
 }
 
@@ -102,8 +141,12 @@ func (s *Set) WriteJSON(w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	data = append(data, '\n')
-	_, err = w.Write(data)
+	var buf bytes.Buffer
+	if err := json.Indent(&buf, data, "", "  "); err != nil {
+		return err
+	}
+	buf.WriteByte('\n')
+	_, err = w.Write(buf.Bytes())
 	return err
 }
 

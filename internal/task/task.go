@@ -16,6 +16,7 @@ import (
 	"math/big"
 	"strings"
 
+	"fpgasched/internal/rat"
 	"fpgasched/internal/timeunit"
 )
 
@@ -161,12 +162,14 @@ func (s *Set) UtilizationT() *big.Rat {
 }
 
 // UtilizationS returns the exact total system utilization Σ Ci·Ai/Ti.
+// The terms are summed unreduced in a rat.Acc and the sum is reduced
+// once, at the end.
 func (s *Set) UtilizationS() *big.Rat {
-	sum := new(big.Rat)
+	var acc rat.Acc
 	for _, t := range s.Tasks {
-		sum.Add(sum, t.UtilizationS())
+		acc.Add(rat.FromFrac(int64(t.C), int64(t.T)).Mul(rat.FromInt(int64(t.A))))
 	}
-	return sum
+	return acc.Rat()
 }
 
 // AMax returns the largest task area, or 0 for an empty set.

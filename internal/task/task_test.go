@@ -2,7 +2,9 @@ package task
 
 import (
 	"encoding/json"
+	"math"
 	"math/big"
+	"math/rand"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -239,5 +241,41 @@ func TestTaskMarshalJSONDirect(t *testing.T) {
 	}
 	if back != tk {
 		t.Errorf("round trip: %+v != %+v", back, tk)
+	}
+}
+
+// TestUtilizationSMatchesPerTermSum checks the accumulated UtilizationS
+// against the per-term big.Rat sum it replaced, on random sets with
+// C > T, negative ticks and C·A products and denominators far past
+// int64.
+func TestUtilizationSMatchesPerTermSum(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	tick := func() timeunit.Time {
+		switch rng.Intn(4) {
+		case 0:
+			return timeunit.Time(1 + rng.Int63n(100_000)) // paper-sized
+		case 1:
+			return timeunit.Time(math.MaxInt64 - rng.Int63n(1000)) // overflows C·A
+		case 2:
+			return timeunit.Time(1 + rng.Int63()) // any magnitude
+		default:
+			return timeunit.Time(-1 - rng.Int63n(1_000_000)) // negative
+		}
+	}
+	for i := 0; i < 2000; i++ {
+		s := &Set{}
+		for n := rng.Intn(60); n >= 0; n-- {
+			s.Tasks = append(s.Tasks, Task{C: tick(), D: tick(), T: tick(), A: 1 + rng.Intn(1<<20)})
+		}
+		if rng.Intn(10) == 0 {
+			s.Tasks = nil
+		}
+		want := new(big.Rat)
+		for _, tk := range s.Tasks {
+			want.Add(want, tk.UtilizationS())
+		}
+		if got := s.UtilizationS(); got.Cmp(want) != 0 || got.String() != want.String() {
+			t.Fatalf("set %d: UtilizationS = %v, per-term sum %v", i, got, want)
+		}
 	}
 }

@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"math"
 	"math/big"
+	"strconv"
 	"strings"
 )
 
@@ -85,25 +86,35 @@ func (t Time) Units() int64 { return int64(t) / TicksPerUnit }
 // String formats t as a decimal number of time units with trailing zeros
 // trimmed, e.g. Time(12600) -> "1.26".
 func (t Time) String() string {
-	neg := t < 0
-	v := int64(t)
-	if neg {
-		v = -v
+	var buf [24]byte
+	return string(t.AppendText(buf[:0]))
+}
+
+// AppendText appends the String form of t to b and returns the
+// extended buffer. It is the allocation-free primitive the wire
+// encoders build on.
+func (t Time) AppendText(b []byte) []byte {
+	v := uint64(t)
+	if t < 0 {
+		b = append(b, '-')
+		v = -v // two's complement: exact for MinInt64 too
 	}
-	whole := v / TicksPerUnit
+	b = strconv.AppendUint(b, v/TicksPerUnit, 10)
 	frac := v % TicksPerUnit
-	var b strings.Builder
-	if neg {
-		b.WriteByte('-')
+	if frac == 0 {
+		return b
 	}
-	fmt.Fprintf(&b, "%d", whole)
-	if frac != 0 {
-		s := fmt.Sprintf("%0*d", decimalDigits, frac)
-		s = strings.TrimRight(s, "0")
-		b.WriteByte('.')
-		b.WriteString(s)
+	var digits [decimalDigits]byte
+	for i := decimalDigits - 1; i >= 0; i-- {
+		digits[i] = byte('0' + frac%10)
+		frac /= 10
 	}
-	return b.String()
+	n := decimalDigits
+	for digits[n-1] == '0' {
+		n--
+	}
+	b = append(b, '.')
+	return append(b, digits[:n]...)
 }
 
 // Parse converts a decimal string such as "1.26" or "-0.5" to ticks.
