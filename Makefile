@@ -19,9 +19,9 @@ race:
 # the production fast path next to its frozen big.Rat reference build
 # (internal/core/bigref) plus the internal/rat and internal/interval
 # micro-benchmarks, so the speedup and allocation reduction are
-# re-measured on every archive. The GN2/GN1/DP patterns also match the
-# *Screened variants (interval pre-filter on, the serving default) next
-# to the screen-off baselines. The *Figure3Mix rows run the three
+# re-measured on every archive. Each kernel has one comparison path:
+# GN2 and DP always run the interval screen (the *Screened rows), GN1
+# never does (BenchmarkGN1). The *Figure3Mix rows run the three
 # kernels on the analyze-cold set mix (Figure-3 profiles, N 10–50),
 # 640 sets each: ten passes over the fixed 64-set corpus.
 # BENCH_codec.json tracks the task-set wire codec at N = 10/25/50 on
@@ -32,7 +32,7 @@ bench:
 	mkdir -p bench-results
 	$(GO) test -bench 'BenchmarkAnalyze' -benchtime 100x -run XXX ./internal/engine/ | tee bench-results/BENCH_engine.txt
 	$(GO) test -bench 'BenchmarkTable|BenchmarkAnalysisScaling|BenchmarkCompositeVsSingle' -benchtime 100x -run XXX . | tee bench-results/BENCH_gn2.txt
-	$(GO) test -bench 'BenchmarkGN2Sweep|BenchmarkGN2xSweep|BenchmarkGN1(Screened|Ref)?$$|BenchmarkDP(Screened|Ref)?$$' -benchtime 10x -run XXX ./internal/core/ | tee bench-results/BENCH_core.txt
+	$(GO) test -bench 'BenchmarkGN2Sweep|BenchmarkGN2xSweep|BenchmarkGN1(Ref)?$$|BenchmarkDP(Screened|Ref)$$' -benchtime 10x -run XXX ./internal/core/ | tee bench-results/BENCH_core.txt
 	$(GO) test -bench 'Figure3Mix' -benchtime 640x -run XXX ./internal/core/ | tee -a bench-results/BENCH_core.txt
 	$(GO) test -bench 'BenchmarkRat' -run XXX ./internal/rat/ | tee -a bench-results/BENCH_core.txt
 	$(GO) test -bench 'BenchmarkInterval' -run XXX ./internal/interval/ | tee -a bench-results/BENCH_core.txt

@@ -24,12 +24,13 @@ type EngineStats struct {
 	CacheLen int `json:"cache_len"`
 	CacheCap int `json:"cache_cap"`
 	Workers  int `json:"workers"`
-	// Screen reports whether the kernels' certified interval pre-filter
-	// is enabled; ScreenDecided/ScreenEscalated aggregate, over
-	// completed analyses, the bounds it disposed of without exact
-	// arithmetic vs the bounds escalated to the exact kernel. Both
-	// counters stay zero (and are omitted) when the screen is off
-	// (additive v1 fields).
+	// Screen is always true: the certified interval pre-filter is a
+	// fixed property of the GN2 and DP kernels (GN1 never screens), and
+	// the field stays on the v1 wire for clients that read it.
+	// ScreenDecided/ScreenEscalated aggregate, over completed analyses,
+	// the bounds the screen disposed of without exact arithmetic vs the
+	// bounds escalated to the exact kernel; both are zero (and omitted)
+	// until a screening kernel has run (additive v1 fields).
 	Screen          bool   `json:"screen"`
 	ScreenDecided   uint64 `json:"screen_decided,omitempty"`
 	ScreenEscalated uint64 `json:"screen_escalated,omitempty"`
@@ -63,7 +64,7 @@ func EngineStatsFrom(s engine.Stats) EngineStats {
 		CacheLen:        s.CacheLen,
 		CacheCap:        s.CacheCap,
 		Workers:         s.Workers,
-		Screen:          s.Screen,
+		Screen:          true,
 		ScreenDecided:   s.ScreenDecided,
 		ScreenEscalated: s.ScreenEscalated,
 	}

@@ -16,6 +16,10 @@ func TestRunBadFlags(t *testing.T) {
 	if got := run([]string{"-workers", "0"}, nil); got != 2 {
 		t.Errorf("exit = %d, want 2", got)
 	}
+	// The interval screen is a fixed property of each kernel, not a flag.
+	if got := run([]string{"-screen=false"}, nil); got != 2 {
+		t.Errorf("-screen exit = %d, want 2 (unknown flag)", got)
+	}
 	if got := run([]string{"-h"}, nil); got != 0 {
 		t.Errorf("-h exit = %d, want 0 (help is not an error)", got)
 	}

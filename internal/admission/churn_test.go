@@ -3,22 +3,25 @@ package admission
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"reflect"
 	"testing"
 
 	"fpgasched/internal/core"
+	"fpgasched/internal/core/bigref"
 	"fpgasched/internal/task"
+	"fpgasched/internal/timeunit"
 	"fpgasched/internal/workload"
 )
 
 // The churn differential suite: the incremental admission path must be
-// indistinguishable from the from-scratch path — identical decisions,
-// byte-identical accepting certificates, identical resident sets —
-// over randomized admit/release sequences on the same generated corpus
-// the core differential suite uses (3 profiles × 120 seeds × 3 sizes =
-// 1080 tasksets), with the interval screen on and off. Controllers
-// share the swap-delete release, so even resident order must agree at
-// every step.
+// indistinguishable from a from-scratch controller running the
+// all-big.Rat reference build (internal/core/bigref) — identical
+// decisions, byte-identical accepting certificates, identical resident
+// sets — over randomized admit/release sequences on the same generated
+// corpus the core differential suite uses (3 profiles × 120 seeds × 3
+// sizes = 1080 tasksets). Controllers share the swap-delete release, so
+// even resident order must agree at every step.
 
 // churnStep compares one request against both controllers.
 func churnDecisionsEqual(t *testing.T, label string, inc, ref Decision) {
@@ -47,26 +50,46 @@ func churnDecisionsEqual(t *testing.T, label string, inc, ref Decision) {
 	}
 }
 
+// reference returns the big.Rat reference build of each test.
+func reference(t *testing.T, tests []core.Test) []core.Test {
+	t.Helper()
+	out := make([]core.Test, len(tests))
+	for i, tt := range tests {
+		switch tt := tt.(type) {
+		case core.DPTest:
+			out[i] = bigref.DPTest{RealValuedAlpha: tt.RealValuedAlpha}
+		case core.GN1Test:
+			out[i] = bigref.GN1Test{Variant: tt.Variant}
+		case core.GN2Test:
+			out[i] = bigref.GN2Test{Options: tt.Options}
+		default:
+			t.Fatalf("no reference build for %s", tt.Name())
+		}
+	}
+	return out
+}
+
 // churnCompare drives the same randomized admit/release sequence
-// through an incremental controller and a from-scratch reference,
-// asserting equality after every operation. The sequence retries
+// through an incremental controller and a from-scratch controller
+// running the reference build, asserting equality after every
+// operation. The sequence retries
 // previously rejected tasks after the set shrinks (exercising pending
 // incremental results that outlive a round) and ends with a
 // deterministic admit-then-release phase (exercising the LIFO undo
 // journal).
-func churnCompare(t *testing.T, label string, columns int, pool []task.Task, seed uint64, screen bool, workers int, tests ...core.Test) Stats {
+func churnCompare(t *testing.T, label string, columns int, pool []task.Task, seed uint64, workers int, tests ...core.Test) Stats {
 	t.Helper()
 	inc, err := NewController(columns, tests...)
 	if err != nil {
 		t.Fatalf("%s: %v", label, err)
 	}
-	ref, err := NewController(columns, tests...)
+	ref, err := NewController(columns, reference(t, tests)...)
 	if err != nil {
 		t.Fatalf("%s: %v", label, err)
 	}
 	ref.DisableIncremental()
 
-	ctx := core.WithScreen(context.Background(), screen)
+	ctx := context.Background()
 	if workers > 1 {
 		ctx = core.WithSweepWorkers(ctx, workers)
 	}
@@ -160,68 +183,61 @@ func TestChurnDifferentialGenerated(t *testing.T) {
 		workload.SpatiallyLightTemporallyHeavy,
 	}
 	sizes := []int{2, 5, 8}
-	for _, screen := range []bool{true, false} {
-		name := "screen-on"
-		if !screen {
-			name = "screen-off"
-		}
-		t.Run(name, func(t *testing.T) {
-			sets := 0
-			var agg Stats
-			for pi, pf := range profiles {
-				for seed := uint64(1); seed <= 120; seed++ {
-					for si, n := range sizes {
-						r := workload.Rand(seed + uint64(pi)*1000 + uint64(si)*100000)
-						p := pf(n)
-						s := p.Generate(r)
-						label := p.Name
-						st := churnCompare(t, label, workload.FigureDeviceColumns, s.Tasks, seed*7+uint64(si),
-							screen, 1, core.DPTest{}, core.GN1Test{}, core.GN2Test{})
+	// DP and GN2 always run their interval screen; the subtest name
+	// records that the corpus runs with it on.
+	t.Run("screen-on", func(t *testing.T) {
+		sets := 0
+		var agg Stats
+		for pi, pf := range profiles {
+			for seed := uint64(1); seed <= 120; seed++ {
+				for si, n := range sizes {
+					r := workload.Rand(seed + uint64(pi)*1000 + uint64(si)*100000)
+					p := pf(n)
+					s := p.Generate(r)
+					label := p.Name
+					st := churnCompare(t, label, workload.FigureDeviceColumns, s.Tasks, seed*7+uint64(si),
+						1, core.DPTest{}, core.GN1Test{}, core.GN2Test{})
+					agg.IncrementalHits += st.IncrementalHits
+					agg.FullRuns += st.FullRuns
+					// GN2 alone on the largest sets: every request reaches
+					// the sweep state, no earlier test masks it.
+					if n == 8 {
+						st = churnCompare(t, label+"/gn2-only", workload.FigureDeviceColumns, s.Tasks, seed*11+3,
+							1, core.GN2Test{})
 						agg.IncrementalHits += st.IncrementalHits
 						agg.FullRuns += st.FullRuns
-						// GN2 alone on the largest sets: every request
-						// reaches the sweep state, no earlier test
-						// masks it.
-						if n == 8 {
-							st = churnCompare(t, label+"/gn2-only", workload.FigureDeviceColumns, s.Tasks, seed*11+3,
-								screen, 1, core.GN2Test{})
-							agg.IncrementalHits += st.IncrementalHits
-							agg.FullRuns += st.FullRuns
-						}
-						sets++
 					}
+					sets++
 				}
 			}
-			if sets < 1000 {
-				t.Fatalf("churn corpus covered %d sets, want >= 1000", sets)
-			}
-			if agg.IncrementalHits == 0 {
-				t.Fatal("the incremental path never served a single analysis over the whole corpus")
-			}
-			t.Logf("incremental ≡ from-scratch over churn on %d generated tasksets (%d incremental hits, %d full runs)",
-				sets, agg.IncrementalHits, agg.FullRuns)
-		})
-	}
+		}
+		if sets < 1000 {
+			t.Fatalf("churn corpus covered %d sets, want >= 1000", sets)
+		}
+		if agg.IncrementalHits == 0 {
+			t.Fatal("the incremental path never served a single analysis over the whole corpus")
+		}
+		t.Logf("incremental ≡ from-scratch reference over churn on %d generated tasksets (%d incremental hits, %d full runs)",
+			sets, agg.IncrementalHits, agg.FullRuns)
+	})
 }
 
 // TestChurnParallelSweepWorkers runs the deterministic churn comparison
 // with the kernels' parallel sweep workers enabled — under -race this
 // exercises the incremental path's interaction with concurrent sweep
-// scratch — for both screen settings.
+// scratch.
 func TestChurnParallelSweepWorkers(t *testing.T) {
 	profiles := []func(int) workload.Profile{
 		workload.Unconstrained,
 		workload.SpatiallyLightTemporallyHeavy,
 	}
-	for _, screen := range []bool{true, false} {
-		for pi, pf := range profiles {
-			p := pf(8)
-			for seed := uint64(1); seed <= 10; seed++ {
-				r := workload.Rand(seed + uint64(pi)*77)
-				s := p.Generate(r)
-				churnCompare(t, p.Name+"/workers", workload.FigureDeviceColumns, s.Tasks, seed,
-					screen, 4, core.DPTest{}, core.GN1Test{}, core.GN2Test{})
-			}
+	for pi, pf := range profiles {
+		p := pf(8)
+		for seed := uint64(1); seed <= 10; seed++ {
+			r := workload.Rand(seed + uint64(pi)*77)
+			s := p.Generate(r)
+			churnCompare(t, p.Name+"/workers", workload.FigureDeviceColumns, s.Tasks, seed,
+				4, core.DPTest{}, core.GN1Test{}, core.GN2Test{})
 		}
 	}
 }
@@ -240,7 +256,49 @@ func TestChurnGN2Variants(t *testing.T) {
 		for seed := uint64(1); seed <= 20; seed++ {
 			r := workload.Rand(seed + uint64(vi)*555)
 			s := p.Generate(r)
-			churnCompare(t, g.Name()+"/variant", workload.FigureDeviceColumns, s.Tasks, seed, true, 1, g)
+			churnCompare(t, g.Name()+"/variant", workload.FigureDeviceColumns, s.Tasks, seed, 1, g)
+		}
+	}
+}
+
+// TestChurnKnifeEdgeTie pins the incremental path's exact comparisons
+// at ties the generated corpus never produces. In each case the last
+// admission is decided by the incremental admit and condition 2 holds
+// there with exact equality: on a fresh or scanned candidate (the
+// first set, in two orders) and at the committed witness, from the
+// cached sums (the second set). The strict test must reject the newcomer and the non-strict
+// variant accept it, exactly as a from-scratch reference controller
+// decides, and the incremental path must actually have served.
+func TestChurnKnifeEdgeTie(t *testing.T) {
+	tk := func(name string, c, period int64, a int) task.Task {
+		return task.Task{Name: name, C: timeunit.FromUnits(c), D: timeunit.FromUnits(period), T: timeunit.FromUnits(period), A: a}
+	}
+	cases := []struct {
+		columns int
+		tasks   []task.Task // admitted in order
+	}{
+		{4, []task.Task{tk("a", 1, 2, 1), tk("b", 1, 2, 2), tk("c", 1, 4, 2)}},
+		{4, []task.Task{tk("b", 1, 2, 2), tk("a", 1, 2, 1), tk("c", 1, 4, 2)}},
+		{7, []task.Task{tk("a", 4, 6, 1), tk("b", 1, 3, 3), tk("c", 1, 3, 1), tk("d", 1, 6, 2)}},
+	}
+	for ci, c := range cases {
+		for _, g := range []core.GN2Test{{}, {Options: core.GN2Options{CondTwoNonStrict: true}}} {
+			tests := []core.Test{g}
+			inc, _ := NewController(c.columns, tests...)
+			ref, _ := NewController(c.columns, reference(t, tests)...)
+			ref.DisableIncremental()
+			var last Decision
+			for _, task := range c.tasks {
+				last = inc.Request(context.Background(), task)
+				churnDecisionsEqual(t, fmt.Sprintf("case %d %s admit %s", ci, g.Name(), task.Name),
+					last, ref.Request(context.Background(), task))
+			}
+			if want := g.Options.CondTwoNonStrict; last.Admitted != want {
+				t.Fatalf("case %d %s: last task admitted = %v, want %v at the tie", ci, g.Name(), last.Admitted, want)
+			}
+			if st := inc.Stats(); st.IncrementalHits == 0 {
+				t.Fatalf("case %d %s: the tie was not decided incrementally: %+v", ci, g.Name(), st)
+			}
 		}
 	}
 }

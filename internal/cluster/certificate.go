@@ -3,59 +3,10 @@ package cluster
 import (
 	"fmt"
 	"math/big"
-	"sort"
 
 	"fpgasched/api"
 	"fpgasched/internal/core"
 )
-
-// RemapCertificate translates a canonical-order wire certificate (as
-// served by POST /v1/cache/lookup) into the caller's task order,
-// mirroring exactly what the engine does for local cache hits
-// (engine.RemapVerdict followed by api.VerdictFromCore): checks are
-// re-attributed through perm and re-sorted, failing_task becomes the
-// caller's lowest failing index, composite sub_verdicts are remapped
-// recursively, and — unless explain — checks and sub_verdicts are
-// stripped. perm must be the caller set's CanonicalPerm. The mirror is
-// pinned byte-for-byte by TestRemapCertificateMatchesEngine, which is
-// what makes a peer-served verdict JSON-identical to the same verdict
-// served from the local cache.
-func RemapCertificate(c api.Verdict, perm []int, explain bool) api.Verdict {
-	out := c
-	if len(c.Checks) > 0 {
-		checks := make([]api.Check, len(c.Checks))
-		for i, chk := range c.Checks {
-			if chk.TaskIndex >= 0 && chk.TaskIndex < len(perm) {
-				chk.TaskIndex = perm[chk.TaskIndex]
-			}
-			checks[i] = chk
-		}
-		sort.Slice(checks, func(i, j int) bool { return checks[i].TaskIndex < checks[j].TaskIndex })
-		out.Checks = checks
-	}
-	if c.FailingTask != nil && *c.FailingTask >= 0 && *c.FailingTask < len(perm) {
-		ft := perm[*c.FailingTask]
-		for _, chk := range out.Checks {
-			if !chk.Satisfied {
-				ft = chk.TaskIndex
-				break
-			}
-		}
-		out.FailingTask = &ft
-	}
-	if len(c.SubVerdicts) > 0 {
-		subs := make([]api.Verdict, len(c.SubVerdicts))
-		for i, sv := range c.SubVerdicts {
-			subs[i] = RemapCertificate(sv, perm, true)
-		}
-		out.SubVerdicts = subs
-	}
-	if !explain {
-		out.Checks = nil
-		out.SubVerdicts = nil
-	}
-	return out
-}
 
 // VerdictFromCertificate reconstructs an in-process core.Verdict from a
 // canonical-order wire certificate, for seeding the local engine cache
@@ -63,8 +14,8 @@ func RemapCertificate(c api.Verdict, perm []int, explain bool) api.Verdict {
 // fraction strings parse back losslessly (RatString forms are reduced,
 // and big.Rat.SetString reproduces them), so reconstruct-then-certify
 // round-trips byte-identically — pinned by TestCertificateRoundTrip.
-// A malformed certificate returns an error; callers skip the writeback
-// rather than cache garbage.
+// A malformed certificate returns an error; callers treat it as a miss
+// rather than serve or cache garbage.
 func VerdictFromCertificate(c api.Verdict) (core.Verdict, error) {
 	v := core.Verdict{
 		Test:        c.Test,

@@ -3,6 +3,7 @@ package cluster
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"testing"
 
 	"fpgasched/api"
@@ -28,35 +29,36 @@ func canonicalVerdict(t *testing.T, tt core.Test, columns int, set *task.Set, pe
 	return v
 }
 
-// TestRemapCertificateMatchesEngine pins the byte-for-byte mirror that
-// makes a peer-served verdict indistinguishable from a local cache hit:
-// remapping the wire certificate must equal remapping the core verdict
-// through the engine and then converting to wire form, for every test
-// (including composites with sub-verdicts) and both explain modes.
-func TestRemapCertificateMatchesEngine(t *testing.T) {
-	const columns = workload.FigureDeviceColumns
+// remapMatchesEngine checks, for every registry test and both explain
+// modes, that a peer-served response is byte-identical to a local cache
+// hit: the owner's canonical certificate, reconstructed and remapped to
+// the request order through engine.RemapVerdict, must serialize exactly
+// as the core verdict remapped the same way.
+func remapMatchesEngine(t *testing.T, columns int, sets []*task.Set) {
+	t.Helper()
 	tests, err := core.TestsByName(core.TestNames())
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := workload.Rand(7)
-	for i := 0; i < 25; i++ {
-		set := workload.Unconstrained(6).Generate(r)
+	for i, set := range sets {
 		perm := set.CanonicalPerm()
 		for _, tt := range tests {
 			v := canonicalVerdict(t, tt, columns, set, perm)
-			cert := api.VerdictFromCore(v, true) // what the owner serves
+			back, err := VerdictFromCertificate(api.VerdictFromCore(v, true)) // what the owner serves
+			if err != nil {
+				t.Fatalf("set %d test %s: reconstruct: %v", i, tt.Name(), err)
+			}
 			for _, explain := range []bool{false, true} {
 				want, err := json.Marshal(api.VerdictFromCore(engine.RemapVerdict(v, perm, !explain), explain))
 				if err != nil {
 					t.Fatal(err)
 				}
-				got, err := json.Marshal(RemapCertificate(cert, perm, explain))
+				got, err := json.Marshal(api.VerdictFromCore(engine.RemapVerdict(back, perm, !explain), explain))
 				if err != nil {
 					t.Fatal(err)
 				}
 				if string(want) != string(got) {
-					t.Fatalf("set %d test %s explain=%v:\nengine: %s\nremap:  %s",
+					t.Fatalf("set %d test %s explain=%v:\nlocal: %s\npeer:  %s",
 						i, tt.Name(), explain, want, got)
 				}
 			}
@@ -64,81 +66,80 @@ func TestRemapCertificateMatchesEngine(t *testing.T) {
 	}
 }
 
-// TestRemapCertificateMatchesEngineUnitArea re-runs the mirror check on
+// TestRemapCertificateMatchesEngine runs the remap check on generated
+// sets in their non-canonical generation order, so the remap is never
+// the identity.
+func TestRemapCertificateMatchesEngine(t *testing.T) {
+	r := workload.Rand(7)
+	var sets []*task.Set
+	for i := 0; i < 25; i++ {
+		sets = append(sets, workload.Unconstrained(6).Generate(r))
+	}
+	remapMatchesEngine(t, workload.FigureDeviceColumns, sets)
+}
+
+// TestRemapCertificateMatchesEngineUnitArea re-runs the remap check on
 // unit-area sets. Unconstrained sets above only drive the mpsched
 // adapters through their unit-area-gate rejection; with every area 1
 // the MP tests analyze for real, so this covers the accept path's
 // certificates (per-processor partition witnesses included).
 func TestRemapCertificateMatchesEngineUnitArea(t *testing.T) {
-	const columns = 4
-	tests, err := core.TestsByName(core.TestNames())
-	if err != nil {
-		t.Fatal(err)
-	}
 	p := workload.Profile{
 		Name: "unit", N: 6, AreaMin: 1, AreaMax: 1,
 		PeriodMin: 5, PeriodMax: 20, UtilMin: 0.1, UtilMax: 0.9,
 	}
 	r := workload.Rand(11)
+	var sets []*task.Set
 	for i := 0; i < 25; i++ {
-		set := p.Generate(r)
-		perm := set.CanonicalPerm()
-		for _, tt := range tests {
-			v := canonicalVerdict(t, tt, columns, set, perm)
-			cert := api.VerdictFromCore(v, true)
-			for _, explain := range []bool{false, true} {
-				want, err := json.Marshal(api.VerdictFromCore(engine.RemapVerdict(v, perm, !explain), explain))
-				if err != nil {
-					t.Fatal(err)
-				}
-				got, err := json.Marshal(RemapCertificate(cert, perm, explain))
-				if err != nil {
-					t.Fatal(err)
-				}
-				if string(want) != string(got) {
-					t.Fatalf("set %d test %s explain=%v:\nengine: %s\nremap:  %s",
-						i, tt.Name(), explain, want, got)
-				}
-			}
-			// And the writeback round trip on the same certificates.
-			back, err := VerdictFromCertificate(cert)
-			if err != nil {
-				t.Fatalf("set %d test %s: reconstruct: %v", i, tt.Name(), err)
-			}
-			before, _ := json.Marshal(cert)
-			after, _ := json.Marshal(api.VerdictFromCore(back, true))
-			if string(before) != string(after) {
-				t.Fatalf("set %d test %s round trip drifted:\nbefore: %s\nafter:  %s",
-					i, tt.Name(), before, after)
-			}
-		}
+		sets = append(sets, p.Generate(r))
 	}
+	remapMatchesEngine(t, 4, sets)
 }
 
 // TestCertificateRoundTrip pins the losslessness that makes the
 // peer-fetch writeback sound: certificate → core.Verdict → certificate
 // is byte-identical, so a verdict seeded into the local cache from a
 // peer serves future requests exactly as a locally analyzed one would.
+// The corpus is the paper's Tables 1–3 on their device plus unit-area
+// sets on 4 columns, where the multiprocessor adapters analyze for real
+// and their accepting certificates (per-processor partition witnesses
+// included) are exercised.
 func TestCertificateRoundTrip(t *testing.T) {
-	const columns = workload.TableDeviceColumns
 	tests, err := core.TestsByName(core.TestNames())
 	if err != nil {
 		t.Fatal(err)
 	}
-	for si, set := range []*task.Set{workload.Table1(), workload.Table2(), workload.Table3()} {
-		perm := set.CanonicalPerm()
+	type corpusSet struct {
+		name    string
+		columns int
+		set     *task.Set
+	}
+	var corpus []corpusSet
+	for i, set := range []*task.Set{workload.Table1(), workload.Table2(), workload.Table3()} {
+		corpus = append(corpus, corpusSet{fmt.Sprintf("table %d", i+1), workload.TableDeviceColumns, set})
+	}
+	unit := workload.Profile{
+		Name: "unit", N: 6, AreaMin: 1, AreaMax: 1,
+		PeriodMin: 5, PeriodMax: 20, UtilMin: 0.1, UtilMax: 0.9,
+	}
+	r := workload.Rand(11)
+	for i := 0; i < 25; i++ {
+		corpus = append(corpus, corpusSet{fmt.Sprintf("unit-area set %d", i), 4, unit.Generate(r)})
+	}
+	for _, c := range corpus {
+		perm := c.set.CanonicalPerm()
 		for _, tt := range tests {
-			v := canonicalVerdict(t, tt, columns, set, perm)
+			v := canonicalVerdict(t, tt, c.columns, c.set, perm)
 			cert := api.VerdictFromCore(v, true)
 			back, err := VerdictFromCertificate(cert)
 			if err != nil {
-				t.Fatalf("table %d test %s: reconstruct: %v", si+1, tt.Name(), err)
+				t.Fatalf("%s test %s: reconstruct: %v", c.name, tt.Name(), err)
 			}
 			want, _ := json.Marshal(cert)
 			got, _ := json.Marshal(api.VerdictFromCore(back, true))
 			if string(want) != string(got) {
-				t.Fatalf("table %d test %s round trip drifted:\nbefore: %s\nafter:  %s",
-					si+1, tt.Name(), want, got)
+				t.Fatalf("%s test %s round trip drifted:\nbefore: %s\nafter:  %s",
+					c.name, tt.Name(), want, got)
 			}
 		}
 	}

@@ -4,8 +4,10 @@ package core_test
 // reference build as the before/after baseline. `make bench` archives
 // these as bench-results/BENCH_core.json (uploaded from CI), so the
 // perf trajectory of the numeric layer is recorded from the fast-path
-// PR onward: compare BenchmarkGN2Sweep against BenchmarkGN2SweepRef
-// for the speedup, and allocs/op for the allocation reduction.
+// PR onward: compare BenchmarkGN2SweepScreened against
+// BenchmarkGN2SweepRef for the speedup, and allocs/op for the
+// allocation reduction. Each kernel has one path: GN2 and DP always run
+// the interval screen, GN1 never does.
 
 import (
 	"context"
@@ -43,24 +45,10 @@ func benchAnalyze(b *testing.B, ctx context.Context, t core.Test, n int) {
 	}
 }
 
-// noScreen pins a benchmark to the pure exact path so the pre-screen
-// numbers stay comparable across runs (the interval screen is on by
-// default everywhere else).
-func noScreen() context.Context {
-	return core.WithScreen(context.Background(), false)
-}
-
-// BenchmarkGN2Sweep is the pre-screen acceptance benchmark: the
-// production λ sweep on a 100-task set (serial, as a request under
-// full engine load runs it), interval screen off for baseline
-// continuity with earlier archives.
-func BenchmarkGN2Sweep(b *testing.B) {
-	benchAnalyze(b, noScreen(), core.GN2Test{}, 100)
-}
-
-// BenchmarkGN2SweepScreened is the same sweep with the certified
-// interval pre-filter on (the serving default): strictly-violated
-// candidates are discarded by directed-rounding float intervals and
+// BenchmarkGN2SweepScreened is the acceptance benchmark: the production
+// λ sweep on a 100-task set (serial, as a request under full engine
+// load runs it). The certified interval pre-filter discards
+// strictly-violated candidates on directed-rounding float intervals and
 // only straddling ones reach the exact kernel.
 func BenchmarkGN2SweepScreened(b *testing.B) {
 	benchAnalyze(b, context.Background(), core.GN2Test{}, 100)
@@ -73,41 +61,22 @@ func BenchmarkGN2SweepRef(b *testing.B) {
 	benchAnalyze(b, context.Background(), bigref.GN2Test{}, 100)
 }
 
-// BenchmarkGN2SweepParallel is the production sweep with the per-task
+// BenchmarkGN2SweepParallelScreened is the same sweep with the per-task
 // checks fanned across all CPUs (engine.Config.SweepWorkers < 0), the
 // single-large-analysis latency configuration.
-func BenchmarkGN2SweepParallel(b *testing.B) {
-	ctx := core.WithSweepWorkers(noScreen(), runtime.GOMAXPROCS(0))
-	benchAnalyze(b, ctx, core.GN2Test{}, 100)
-}
-
-// BenchmarkGN2SweepParallelScreened stacks both latency levers: the
-// interval screen plus the fanned per-task checks.
 func BenchmarkGN2SweepParallelScreened(b *testing.B) {
 	ctx := core.WithSweepWorkers(context.Background(), runtime.GOMAXPROCS(0))
 	benchAnalyze(b, ctx, core.GN2Test{}, 100)
 }
 
-// BenchmarkGN2xSweep covers the extended-λ variant (a superset
+// BenchmarkGN2xSweepScreened covers the extended-λ variant (a superset
 // candidate list, so proportionally more per-candidate work).
-func BenchmarkGN2xSweep(b *testing.B) {
-	benchAnalyze(b, noScreen(), core.GN2Test{Options: core.GN2Options{ExtendedLambdaSearch: true}}, 100)
-}
-
 func BenchmarkGN2xSweepScreened(b *testing.B) {
 	benchAnalyze(b, context.Background(), core.GN2Test{Options: core.GN2Options{ExtendedLambdaSearch: true}}, 100)
 }
 
 // BenchmarkGN1 / BenchmarkGN1Ref measure the O(N²) interference test.
 func BenchmarkGN1(b *testing.B) {
-	benchAnalyze(b, noScreen(), core.GN1Test{}, 100)
-}
-
-// BenchmarkGN1Screened runs GN1 with the screen on. GN1 certificates
-// need the exact per-task sums regardless, so the screen only replaces
-// the final comparisons — expect parity with BenchmarkGN1, archived to
-// prove the screen costs nothing where it cannot win.
-func BenchmarkGN1Screened(b *testing.B) {
 	benchAnalyze(b, context.Background(), core.GN1Test{}, 100)
 }
 
@@ -115,13 +84,9 @@ func BenchmarkGN1Ref(b *testing.B) {
 	benchAnalyze(b, context.Background(), bigref.GN1Test{}, 100)
 }
 
-// BenchmarkDP / BenchmarkDPRef measure the closed-form bound.
-func BenchmarkDP(b *testing.B) {
-	benchAnalyze(b, noScreen(), core.DPTest{}, 100)
-}
-
-// BenchmarkDPScreened: as with GN1, the DP certificate is exact either
-// way; the screened variant documents comparison-only screening parity.
+// BenchmarkDPScreened / BenchmarkDPRef measure the closed-form bound.
+// The DP certificate is exact either way; the screen decides only the
+// per-task comparison.
 func BenchmarkDPScreened(b *testing.B) {
 	benchAnalyze(b, context.Background(), core.DPTest{}, 100)
 }
@@ -164,8 +129,7 @@ func benchFigure3Mix(b *testing.B, t core.Test) {
 }
 
 // BenchmarkGN2Figure3Mix is the GN2 kernel on the analyze-cold shape:
-// one serial, screened analysis per op over the Figure-3 mix (mean
-// ns per set).
+// one serial analysis per op over the Figure-3 mix (mean ns per set).
 func BenchmarkGN2Figure3Mix(b *testing.B) { benchFigure3Mix(b, core.GN2Test{}) }
 
 // BenchmarkGN1Figure3Mix and BenchmarkDPFigure3Mix are the sibling

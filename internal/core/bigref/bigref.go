@@ -4,12 +4,14 @@
 // internal/core's production kernels run on internal/rat's int64
 // fast-path arithmetic; this package is the straight-line big.Rat
 // translation of the theorems they must remain equivalent to. It
-// exists for exactly two consumers:
+// exists for exactly two kinds of consumer:
 //
-//   - the differential suite (internal/core/differential_test.go),
-//     which asserts that the fast path produces identical verdicts,
-//     Reason strings, AcceptedBy attributions and byte-identical
-//     certificates across thousands of generated tasksets; and
+//   - the differential suites (internal/core/differential_test.go and
+//     its siblings, and the admission churn suite), which assert that
+//     the fast path — interval screen, parallel sweep and incremental
+//     admit included — produces identical verdicts, Reason strings,
+//     AcceptedBy attributions and byte-identical certificates across
+//     thousands of generated tasksets; and
 //   - the BenchmarkGN2SweepRef/BenchmarkGN1Ref baselines, which record
 //     how much the fast path buys (bench-results/BENCH_core.json).
 //

@@ -95,20 +95,15 @@ func assertIdentical(t *testing.T, label string, fast, ref core.Verdict) {
 }
 
 // diffCompare runs every pair on one (device, set) and asserts
-// equivalence — with the interval screen ON (the default path) and OFF,
-// both against the big.Rat reference. This is the widened form of the
-// suite: the screen's "certainly violated ⇒ skip exact work" shortcut
-// must never change a verdict, an attribution, or a certificate byte.
+// equivalence with the big.Rat reference. For the screening kernels
+// (GN2 and DP) this is also the screen's proof: its "certainly violated
+// ⇒ skip exact work" shortcut must never change a verdict, an
+// attribution, or a certificate byte.
 func diffCompare(t *testing.T, label string, dev core.Device, s *task.Set) {
 	t.Helper()
-	screened := context.Background() // screen defaults on
-	unscreened := core.WithScreen(context.Background(), false)
+	ctx := context.Background()
 	for _, p := range diffPairs() {
-		ref := p.ref.Analyze(screened, dev, s)
-		assertIdentical(t, label+"/"+p.fast.Name()+"/screen=on",
-			p.fast.Analyze(screened, dev, s), ref)
-		assertIdentical(t, label+"/"+p.fast.Name()+"/screen=off",
-			p.fast.Analyze(unscreened, dev, s), ref)
+		assertIdentical(t, label+"/"+p.fast.Name(), p.fast.Analyze(ctx, dev, s), p.ref.Analyze(ctx, dev, s))
 	}
 }
 
@@ -196,8 +191,6 @@ func TestParallelSweepMatchesSerial(t *testing.T) {
 		workers = 2
 	}
 	par := core.WithSweepWorkers(context.Background(), workers)
-	parOff := core.WithScreen(par, false)
-	serialOff := core.WithScreen(context.Background(), false)
 	dev := core.NewDevice(workload.FigureDeviceColumns)
 	for _, g := range []core.Test{
 		core.GN2Test{},
@@ -207,11 +200,7 @@ func TestParallelSweepMatchesSerial(t *testing.T) {
 			r := workload.Rand(seed)
 			s := workload.Unconstrained(30).Generate(r)
 			serial := g.Analyze(context.Background(), dev, s)
-			// Screened parallel ≡ screened serial ≡ unscreened serial ≡
-			// unscreened parallel: neither knob may change an answer.
 			assertIdentical(t, "parallel/"+g.Name(), g.Analyze(par, dev, s), serial)
-			assertIdentical(t, "serial-unscreened/"+g.Name(), g.Analyze(serialOff, dev, s), serial)
-			assertIdentical(t, "parallel-unscreened/"+g.Name(), g.Analyze(parOff, dev, s), serial)
 		}
 	}
 }
@@ -244,15 +233,6 @@ func TestSweepCancellationMidRun(t *testing.T) {
 		},
 		"parallel": func() context.Context {
 			return core.WithSweepWorkers(&pollLimitedCtx{Context: context.Background(), limit: 40}, 4)
-		},
-		// The screened sweep polls once per candidate exactly like the
-		// exact sweep, so mid-sweep cancellation stays prompt with the
-		// screen off too (the screen-on cases above default on).
-		"serial-unscreened": func() context.Context {
-			return core.WithScreen(&pollLimitedCtx{Context: context.Background(), limit: 40}, false)
-		},
-		"parallel-unscreened": func() context.Context {
-			return core.WithScreen(core.WithSweepWorkers(&pollLimitedCtx{Context: context.Background(), limit: 40}, 4), false)
 		},
 	} {
 		v := (core.GN2Test{}).Analyze(ctxOf(), dev, s)

@@ -80,35 +80,25 @@ func (dp DPTest) Analyze(ctx context.Context, dev Device, s *task.Set) Verdict {
 	}
 	us := usAcc.R()
 	// The interval screen decides the per-task comparison when certain.
-	// As with GN1, every certificate carries the exact US(Γ) and bound,
-	// so the screen skips no exact value computation — only the
-	// (already cheap) exact comparison; its counters feed the
-	// escalation-rate metrics.
-	var sct *screenCounters
-	var ius interval.I
-	if ScreenOn(ctx) {
-		sct = new(screenCounters)
-		ius = interval.FromRat(us)
-	}
+	// Every certificate carries the exact US(Γ) and bound, so the screen
+	// skips no exact value computation, only the exact comparison; its
+	// counters feed the escalation-rate metrics.
+	var decided, escalated uint64
+	ius := interval.FromRat(us)
 	v := Verdict{Test: name, Schedulable: true, FailingTask: -1}
 	for k, tk := range s.Tasks {
 		// RHS = Abnd·(1 − UT(τk)) + US(τk)
 		ut := rat.FromFrac(int64(tk.C), int64(tk.T))
 		rhs := rat.One.Sub(ut).Mul(abnd).Add(ut.Mul(rat.FromInt(int64(tk.A))))
+		// Non-strict "≤": satisfied ⇔ us ≤ rhs.
 		var ok bool
-		if sct != nil {
-			// Non-strict "≤": satisfied ⇔ us ≤ rhs.
-			if irhs := interval.FromRat(rhs); ius.AllLessEq(irhs) {
-				sct.decided++
-				ok = true
-			} else if ius.AllGreater(irhs) {
-				sct.decided++
-				ok = false
-			} else {
-				sct.escalated++
-				ok = us.Cmp(rhs) <= 0
-			}
+		if irhs := interval.FromRat(rhs); ius.AllLessEq(irhs) {
+			decided++
+			ok = true
+		} else if ius.AllGreater(irhs) {
+			decided++
 		} else {
+			escalated++
 			ok = us.Cmp(rhs) <= 0
 		}
 		v.Checks = append(v.Checks, BoundCheck{
@@ -123,8 +113,6 @@ func (dp DPTest) Analyze(ctx context.Context, dev Device, s *task.Set) Verdict {
 			v.Reason = fmt.Sprintf("US(Γ)=%s exceeds bound %s at task %d", us.RatString(), rhs.RatString(), k)
 		}
 	}
-	if sct != nil {
-		screenStatsFrom(ctx).add(sct.decided, sct.escalated)
-	}
+	screenStatsFrom(ctx).add(decided, escalated)
 	return v
 }

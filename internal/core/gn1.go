@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math/big"
 
-	"fpgasched/internal/interval"
 	"fpgasched/internal/rat"
 	"fpgasched/internal/task"
 )
@@ -60,7 +59,10 @@ func (v GN1Variant) String() string {
 // interference sum per task accumulates in reused scratch, and heap
 // rationals are allocated only for the per-task certificate values
 // (equivalence with the big.Rat reference build is enforced by the
-// differential suite).
+// differential suite). Unlike GN2 and DP, GN1 has no interval screen:
+// every task's certificate carries its exact interference sum and
+// bound, so a screen could skip no exact work, only the one comparison
+// per task, and it measured no faster.
 type GN1Test struct {
 	// Variant selects the βi normalisation; the zero value is the
 	// paper-faithful Wi/Di.
@@ -88,25 +90,13 @@ func (g GN1Test) Analyze(ctx context.Context, dev Device, s *task.Set) Verdict {
 			FailingTask: -1,
 		}
 	}
-	var sct *screenCounters
-	if ScreenOn(ctx) {
-		sct = new(screenCounters)
-	}
 	var acc rat.Acc // interference-sum scratch, reused across tasks
 	v := Verdict{Test: name, Schedulable: true, FailingTask: -1}
 	for k, tk := range s.Tasks {
 		if err := ctx.Err(); err != nil {
 			return aborted(name, err)
 		}
-		var (
-			lhs, rhs *big.Rat
-			ok       bool
-		)
-		if sct != nil {
-			lhs, rhs, ok = g.checkTaskScreened(dev, s, k, &acc, sct)
-		} else {
-			lhs, rhs, ok = g.checkTaskR(dev, s, k, &acc)
-		}
+		lhs, rhs, ok := g.checkTaskR(dev, s, k, &acc)
 		v.Checks = append(v.Checks, BoundCheck{TaskIndex: k, LHS: lhs, RHS: rhs, Satisfied: ok})
 		if !ok && v.Schedulable {
 			v.Schedulable = false
@@ -114,9 +104,6 @@ func (g GN1Test) Analyze(ctx context.Context, dev Device, s *task.Set) Verdict {
 			v.Reason = fmt.Sprintf("interference bound %s not below slack bound %s for task %d (%s)",
 				lhs.RatString(), rhs.RatString(), k, tk.Name)
 		}
-	}
-	if sct != nil {
-		screenStatsFrom(ctx).add(sct.decided, sct.escalated)
 	}
 	return v
 }
@@ -141,44 +128,6 @@ func (g GN1Test) checkTaskR(dev Device, s *task.Set, k int, acc *rat.Acc) (lhs, 
 		acc.Add(rat.FromInt(int64(ti.A)).Mul(rat.Min(beta, slack)))
 	}
 	return acc.Rat(), rhsR.Rat(), acc.Cmp(rhsR) < 0
-}
-
-// checkTaskScreened is checkTaskR with the interval screen deciding the
-// final comparison. Unlike GN2, the screen cannot skip any exact work
-// here: every task's certificate carries the exact interference sum and
-// bound, so both are computed regardless and only the comparison is
-// screened (the interval accumulator rides along on the same pass). A
-// certainly-decided comparison is certified to agree with acc.Cmp, so
-// the returned verdict — and the certificate, which never depends on
-// the comparison route — is identical to the exact path's.
-func (g GN1Test) checkTaskScreened(dev Device, s *task.Set, k int, acc *rat.Acc, sct *screenCounters) (lhs, rhs *big.Rat, ok bool) {
-	tk := s.Tasks[k]
-	slack := rat.One.Sub(rat.FromFrac(int64(tk.C), int64(tk.D)))
-	rhsR := rat.FromInt(int64(dev.Columns - tk.A + 1)).Mul(slack)
-	islack := interval.FromRat(slack)
-	irhs := interval.FromRat(rhsR)
-	acc.Reset()
-	var iacc interval.Acc
-	for i, ti := range s.Tasks {
-		if i == k {
-			continue
-		}
-		beta := gn1BetaR(ti, tk, g.Variant)
-		acc.Add(rat.FromInt(int64(ti.A)).Mul(rat.Min(beta, slack)))
-		iacc.AddScaled(float64(ti.A), interval.Min(interval.FromRat(beta), islack))
-	}
-	lhs, rhs = acc.Rat(), rhsR.Rat()
-	il := iacc.I()
-	if il.AllLess(irhs) {
-		sct.decided++
-		return lhs, rhs, true
-	}
-	if il.AllGreaterEq(irhs) {
-		sct.decided++
-		return lhs, rhs, false
-	}
-	sct.escalated++
-	return lhs, rhs, acc.Cmp(rhsR) < 0
 }
 
 // checkTask is the historical per-task entry point (big.Rat surface),

@@ -121,10 +121,8 @@ func (g GN2Test) Analyze(ctx context.Context, dev Device, s *task.Set) Verdict {
 	}
 	abnd := rat.FromInt(int64(dev.Columns - s.AMax() + 1))
 	amin := rat.FromInt(int64(s.AMin()))
-	sw := g.newSweep(s, abnd, amin)
-	if ScreenOn(ctx) {
-		sw.initScreen(screenStatsFrom(ctx))
-	}
+	sw := g.newSweep(s, abnd, amin, screenStatsFrom(ctx))
+	sw.enclose()
 	n := len(s.Tasks)
 	checks := make([]BoundCheck, n)
 
@@ -192,9 +190,9 @@ func (g GN2Test) Analyze(ctx context.Context, dev Device, s *task.Set) Verdict {
 // shared by — and immutable across — all per-task checks: the exact
 // per-task utilizations, densities and areas, the device bounds, the
 // global sorted λ candidate list and its per-task case thresholds, and
-// the last valid candidate's evidence when every task shares it. Sweep
-// workers read it concurrently; the lazily built parts sit behind
-// sync.Once.
+// the last valid candidate's evidence when every task shares it, and
+// the interval screen's enclosures of those invariants. Sweep workers
+// read it concurrently; the lazily built parts sit behind sync.Once.
 type gn2Sweep struct {
 	g             GN2Test
 	s             *task.Set
@@ -225,12 +223,15 @@ type gn2Sweep struct {
 	lastOnce sync.Once
 	last     BoundCheck
 
-	// Interval-screen state (initScreen; nil/false when the screen is
-	// off): certified float64 enclosures of the sweep invariants, so the
-	// screened candidate loop touches no exact arithmetic beyond the λk
-	// range check until a candidate straddles a bound.
-	screen         bool
-	stats          *ScreenStats
+	// The screen's counter sink (may be nil), flushed once per task
+	// check.
+	stats *ScreenStats
+
+	// Interval-screen enclosures (encloseOnce): certified float64
+	// enclosures of the sweep invariants, so the candidate loop touches
+	// no exact arithmetic beyond the λk range check until a candidate
+	// straddles a bound.
+	encloseOnce    sync.Once
 	fui            []interval.I // encloses ui
 	fdens          []interval.I // encloses dens
 	farea          []float64    // Ai exactly (small integers)
@@ -245,8 +246,9 @@ type gn2Sweep struct {
 // per set (not once per candidate), and the paper's λ candidate set
 // sorted and deduplicated once — each task's candidate list is then a
 // suffix of it, since task k considers exactly the candidates ≥ Ck/Tk
-// and Ck/Tk itself is a member.
-func (g GN2Test) newSweep(s *task.Set, abnd, amin rat.R) *gn2Sweep {
+// and Ck/Tk itself is a member. Screen counters are flushed to stats,
+// which may be nil.
+func (g GN2Test) newSweep(s *task.Set, abnd, amin rat.R, stats *ScreenStats) *gn2Sweep {
 	n := len(s.Tasks)
 	sw := &gn2Sweep{
 		g:             g,
@@ -259,6 +261,7 @@ func (g GN2Test) newSweep(s *task.Set, abnd, amin rat.R) *gn2Sweep {
 		area:          make([]rat.R, n),
 		cands:         make([]rat.R, 0, 2*n),
 		shareLast:     !g.Options.ExtendedLambdaSearch,
+		stats:         stats,
 	}
 	for i, ti := range s.Tasks {
 		sw.ui[i] = rat.FromFrac(int64(ti.C), int64(ti.T))
@@ -295,28 +298,29 @@ func (sw *gn2Sweep) index() {
 	})
 }
 
-// initScreen switches the sweep onto the interval-screened path and
-// precomputes float64 enclosures of every sweep invariant. Counters are
-// flushed to stats (which may be nil) once per task check.
-func (sw *gn2Sweep) initScreen(stats *ScreenStats) {
-	sw.screen = true
-	sw.stats = stats
-	n := len(sw.s.Tasks)
-	sw.fui = make([]interval.I, n)
-	sw.fdens = make([]interval.I, n)
-	sw.farea = make([]float64, n)
-	sw.fC = make([]interval.I, n)
-	sw.fD = make([]interval.I, n)
-	for i, ti := range sw.s.Tasks {
-		sw.fui[i] = interval.FromRat(sw.ui[i])
-		sw.fdens[i] = interval.FromRat(sw.dens[i])
-		sw.farea[i] = float64(ti.A)
-		sw.fC[i] = interval.FromInt(int64(ti.C))
-		sw.fD[i] = interval.FromInt(int64(ti.D))
-	}
-	sw.fabnd = interval.FromRat(sw.abnd)
-	sw.famin = interval.FromRat(sw.amin)
-	sw.fabndMinusAmin = interval.FromRat(sw.abndMinusAmin)
+// enclose builds the float64 enclosures of every sweep invariant once
+// per sweep, before the first screen reads them (newScratch requires
+// them), so that an incremental admit that decides every task exactly
+// never pays for them.
+func (sw *gn2Sweep) enclose() {
+	sw.encloseOnce.Do(func() {
+		n := len(sw.s.Tasks)
+		sw.fui = make([]interval.I, n)
+		sw.fdens = make([]interval.I, n)
+		sw.farea = make([]float64, n)
+		sw.fC = make([]interval.I, n)
+		sw.fD = make([]interval.I, n)
+		for i, ti := range sw.s.Tasks {
+			sw.fui[i] = interval.FromRat(sw.ui[i])
+			sw.fdens[i] = interval.FromRat(sw.dens[i])
+			sw.farea[i] = float64(ti.A)
+			sw.fC[i] = interval.FromInt(int64(ti.C))
+			sw.fD[i] = interval.FromInt(int64(ti.D))
+		}
+		sw.fabnd = interval.FromRat(sw.abnd)
+		sw.famin = interval.FromRat(sw.amin)
+		sw.fabndMinusAmin = interval.FromRat(sw.abndMinusAmin)
+	})
 }
 
 // case1Beta is Lemma 7's case-1 βλk(i) = max(ui, ui·(1 − Di/Dk) + Ci/Dk)
@@ -331,18 +335,10 @@ func case1Beta(ti task.Task, ui rat.R, dk int64) rat.R {
 	return rat.One.Sub(rat.FromFrac(int64(ti.D), dk)).Mul(ui).Add(rat.FromFrac(int64(ti.C), dk))
 }
 
-// beta1 is case1Beta on the sweep's arrays, with its enclosure when the
-// screen is on: the one source of the case-1 β for the full sweep, its
-// unscreened path and the incremental admit.
-func (sw *gn2Sweep) beta1(i, k int) (rat.R, interval.I) {
-	b := case1Beta(sw.s.Tasks[i], sw.ui[i], int64(sw.s.Tasks[k].D))
-	if !sw.screen {
-		return b, interval.I{}
-	}
-	if sw.s.Tasks[i].D >= sw.s.Tasks[i].T {
-		return b, sw.fui[i]
-	}
-	return b, interval.FromRat(b)
+// beta1 is case1Beta on the sweep's arrays: the one source of the
+// case-1 β for the full sweep and the incremental admit.
+func (sw *gn2Sweep) beta1(i, k int) rat.R {
+	return case1Beta(sw.s.Tasks[i], sw.ui[i], int64(sw.s.Tasks[k].D))
 }
 
 // gn2Scratch is the per-worker reusable state: the case-1 βs of the
@@ -355,7 +351,7 @@ type gn2Scratch struct {
 	sum1, sum2 *rat.Acc
 	last       *rat.Acc // condition-2 LHS of the last tried candidate
 
-	// Screened-path scratch: enclosures of the case-1 βs, the case-3 β
+	// Screen scratch: enclosures of the case-1 βs, the case-3 β
 	// enclosure p − q·λ with p = ui + Ci/Dk and q = Di/Dk hoisted per
 	// task k (filled only for tasks that can reach case 3), and the
 	// extended search's per-task case thresholds over its merged
@@ -365,7 +361,8 @@ type gn2Scratch struct {
 }
 
 // newScratch sizes a worker's scratch and fills the case-1 entries of
-// every task with Di ≥ Ti, which are the same for every k.
+// every task with Di ≥ Ti, which are the same for every k. The
+// enclosures must have been built (enclose).
 func (sw *gn2Sweep) newScratch() *gn2Scratch {
 	n := len(sw.s.Tasks)
 	sc := &gn2Scratch{
@@ -373,15 +370,13 @@ func (sw *gn2Sweep) newScratch() *gn2Scratch {
 		sum1: new(rat.Acc),
 		sum2: new(rat.Acc),
 		last: new(rat.Acc),
+		fb1:  append([]interval.I(nil), sw.fui...),
+		fp:   make([]interval.I, n),
+		fq:   make([]interval.I, n),
 	}
-	if sw.screen {
-		sc.fb1 = append([]interval.I(nil), sw.fui...)
-		sc.fp = make([]interval.I, n)
-		sc.fq = make([]interval.I, n)
-		if sw.g.Options.ExtendedLambdaSearch {
-			sc.thrU = make([]int, n)
-			sc.thrD = make([]int, n)
-		}
+	if sw.g.Options.ExtendedLambdaSearch {
+		sc.thrU = make([]int, n)
+		sc.thrD = make([]int, n)
 	}
 	return sc
 }
@@ -407,18 +402,15 @@ func (t *gn2Task) oneMinus(ci int) rat.R {
 	return rat.One.Sub(t.cands[ci])
 }
 
-// view fills the scratch for task k — the k-dependent case-1 βs and,
-// under the screen, their enclosures and the case-3 enclosure
-// coefficients — and returns its candidate view. The unextended view
-// reads the global list and index directly; the extended search merges
-// its own list and searches its own thresholds.
+// view fills the scratch for task k — the k-dependent case-1 βs, their
+// enclosures and the case-3 enclosure coefficients — and returns its
+// candidate view. The unextended view reads the global list and index
+// directly; the extended search merges its own list and searches its
+// own thresholds.
 func (sw *gn2Sweep) view(k int, sc *gn2Scratch) gn2Task {
 	for _, i := range sw.constrained {
-		var fb interval.I
-		sc.b1[i], fb = sw.beta1(i, k)
-		if sw.screen {
-			sc.fb1[i] = fb
-		}
+		sc.b1[i] = sw.beta1(i, k)
+		sc.fb1[i] = interval.FromRat(sc.b1[i])
 	}
 	tk := sw.s.Tasks[k]
 	t := gn2Task{k: k, scaled: tk.T > tk.D}
@@ -429,13 +421,11 @@ func (sw *gn2Sweep) view(k int, sc *gn2Scratch) gn2Task {
 	sw.index()
 	if sw.g.Options.ExtendedLambdaSearch {
 		t.cands = sw.extendedCandidatesFor(k, sc, sw.cands[sw.thrU[k]:])
-		if sw.screen {
-			for i := range sw.ui {
-				sc.thrU[i] = lowerBoundR(t.cands, sw.ui[i])
-				sc.thrD[i] = lowerBoundR(t.cands, sw.dens[i])
-			}
-			t.thrU, t.thrD = sc.thrU, sc.thrD
+		for i := range sw.ui {
+			sc.thrU[i] = lowerBoundR(t.cands, sw.ui[i])
+			sc.thrD[i] = lowerBoundR(t.cands, sw.dens[i])
 		}
+		t.thrU, t.thrD = sc.thrU, sc.thrD
 	} else {
 		t.cands, t.lo, t.thrU, t.thrD = sw.cands, sw.thrU[k], sw.thrU, sw.thrD
 	}
@@ -447,16 +437,14 @@ func (sw *gn2Sweep) view(k int, sc *gn2Scratch) gn2Task {
 	} else {
 		t.end = max(sw.validEnd, t.lo)
 	}
-	if sw.screen {
-		// Case 3 needs λ < min(Ci/Ti, Ci/Di), so only tasks whose
-		// thresholds lie past the first candidate ever select it; the
-		// screens read fp/fq for no other task.
-		fDk := sw.fD[k]
-		for i := range sw.ui {
-			if min(t.thrU[i], t.thrD[i]) > t.lo {
-				sc.fp[i] = sw.fui[i].Add(sw.fC[i].Quo(fDk))
-				sc.fq[i] = sw.fD[i].Quo(fDk)
-			}
+	// Case 3 needs λ < min(Ci/Ti, Ci/Di), so only tasks whose thresholds
+	// lie past the first candidate ever select it; the screens read
+	// fp/fq for no other task.
+	fDk := sw.fD[k]
+	for i := range sw.ui {
+		if min(t.thrU[i], t.thrD[i]) > t.lo {
+			sc.fp[i] = sw.fui[i].Add(sw.fC[i].Quo(fDk))
+			sc.fq[i] = sw.fD[i].Quo(fDk)
 		}
 	}
 	return t
@@ -474,16 +462,17 @@ func (sw *gn2Sweep) view(k int, sc *gn2Scratch) gn2Task {
 // nothing. Such λ are outside the theorem's effective range (DESIGN.md
 // item T3-RANGE, found by the dense-λ completeness test).
 //
-// With the screen on, the certified interval pre-filter sits in front
-// of the exact kernel. Every candidate's conditions are first evaluated
-// on float64 enclosures; a candidate whose condition-1 AND condition-2
-// intervals certainly violate cannot be the accepting one (the
-// enclosure invariant makes "certainly violated" imply "exactly
-// violated"), so its exact evaluation is skipped. Any other candidate —
+// The certified interval pre-filter sits in front of the exact kernel.
+// Every candidate's conditions are first evaluated on float64
+// enclosures; a candidate whose condition-1 AND condition-2 intervals
+// certainly violate cannot be the accepting one (the enclosure
+// invariant makes "certainly violated" imply "exactly violated"), so
+// its exact evaluation is skipped. Any other candidate —
 // straddling, or certainly satisfied — escalates to evalCandidate, so
 // the first accepting candidate, its certificate values, and the
-// task-order failing attribution are byte-identical to the exact sweep
-// (enforced by the screen-on/screen-off/bigref differential suite).
+// task-order failing attribution are byte-identical to an all-exact
+// sweep (enforced against the big.Rat reference build by the
+// differential suite).
 func (sw *gn2Sweep) check(ctx context.Context, k int, sc *gn2Scratch) (BoundCheck, error) {
 	var decided, escalated uint64
 	defer func() { sw.stats.add(decided, escalated) }()
@@ -512,7 +501,7 @@ func (sw *gn2Sweep) check(ctx context.Context, k int, sc *gn2Scratch) (BoundChec
 		if err := ctx.Err(); err != nil {
 			return BoundCheck{}, err
 		}
-		if sw.screen && t.end-ci >= block && sw.rangeViolated(&t, ci, ci+block, sc) {
+		if t.end-ci >= block && sw.rangeViolated(&t, ci, ci+block, sc) {
 			decided += uint64(block)
 			ci += block
 			if block < gn2RangeBlockMax {
@@ -529,19 +518,17 @@ func (sw *gn2Sweep) check(ctx context.Context, k int, sc *gn2Scratch) (BoundChec
 			if ci == lastIdx && sw.shareLast {
 				// The last candidate ends the check either way: its
 				// evaluation is the same for every task, so it is
-				// computed once per sweep. Screened or not, it counts as
-				// escalated, as a re-derived screened-out last one does.
+				// computed once per sweep. It counts as escalated, as a
+				// re-derived screened-out last one does.
 				escalated++
 				return sw.lastCheck(sc), nil
 			}
 			oneMinus := t.oneMinus(ci)
-			if sw.screen {
-				if sw.candidateViolated(&t, ci, oneMinus, sc) {
-					decided++
-					continue
-				}
-				escalated++
+			if sw.candidateViolated(&t, ci, oneMinus, sc) {
+				decided++
+				continue
 			}
+			escalated++
 			chk, rhs2, accepted := sw.evalCandidate(k, t.cands[ci], oneMinus, sc)
 			if accepted {
 				return chk, nil
@@ -602,7 +589,7 @@ func (sw *gn2Sweep) lastCheck(sc *gn2Scratch) BoundCheck {
 // returns the satisfied BoundCheck. Otherwise it parks the condition-2
 // LHS in sc.last and returns the condition-2 RHS, which together form
 // the failing certificate's evidence if this turns out to be the last
-// candidate. Both the exact and the screened sweep paths funnel through
+// candidate. Every escalated candidate of the sweep funnels through
 // here, so a candidate is evaluated identically no matter how it was
 // reached — the screen cannot perturb certificates.
 func (sw *gn2Sweep) evalCandidate(k int, lambda, oneMinus rat.R, sc *gn2Scratch) (BoundCheck, rat.R, bool) {
@@ -856,7 +843,8 @@ func sortDedupR(rs []rat.R) []rat.R {
 // λ-completeness and certificate tests: it runs the production sweep
 // machinery for exactly one task with explicitly supplied bounds.
 func (g GN2Test) checkTask(ctx context.Context, s *task.Set, k int, abnd, amin *big.Rat) (BoundCheck, error) {
-	sw := g.newSweep(s, rat.FromBig(abnd), rat.FromBig(amin))
+	sw := g.newSweep(s, rat.FromBig(abnd), rat.FromBig(amin), nil)
+	sw.enclose()
 	return sw.check(ctx, k, sw.newScratch())
 }
 

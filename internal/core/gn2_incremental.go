@@ -97,8 +97,9 @@ const gn2UndoDepth = 64
 // gn2ScanBudget bounds the forward scan past a failed witness (and the
 // exhaustive scan deciding a rejection). A task whose witness moves
 // further than this in one add is doing nearly a full sweep's work
-// anyway, so TryAdd falls back to the screened full analysis instead
-// of finishing the scan unscreened.
+// anyway, so TryAdd falls back to the full analysis, whose range screen
+// disposes of whole candidate blocks, instead of finishing the scan
+// one candidate at a time.
 const gn2ScanBudget = 24
 
 // gn2Pend stashes the outcome of a TryAdd acceptance (or a full-run
@@ -164,14 +165,11 @@ func (st *gn2AdmitState) TryAdd(ctx context.Context, trial *task.Set, t task.Tas
 	// Full sweep invariants over the trial set: its candidate list is
 	// exactly the resident list with the newcomer's values spliced in,
 	// and its per-task arrays feed the same exact term recurrence the
-	// full sweep uses. The interval screen (verdict-invariant, so either
-	// route yields the same checks) also pre-filters the incremental
-	// path's exact evaluations of fresh and scanned candidates.
-	sw := st.g.newSweep(trial, st.abnd, st.amin)
-	screened := ScreenOn(ctx)
-	if screened {
-		sw.initScreen(screenStatsFrom(ctx))
-	}
+	// full sweep uses. The interval screen (verdict-invariant) also
+	// pre-filters the incremental path's exact evaluations of fresh and
+	// scanned candidates; its enclosures are built only if one of those,
+	// or the newcomer's sweep, actually needs them.
+	sw := st.g.newSweep(trial, st.abnd, st.amin, screenStatsFrom(ctx))
 
 	// The newcomer's candidate contributions, deduplicated. Evaluating
 	// one that is not actually fresh wastes one O(N) check but cannot
@@ -228,8 +226,8 @@ func (st *gn2AdmitState) TryAdd(ctx context.Context, trial *task.Set, t task.Tas
 	// only pays off if the newcomer outlives the next admission, so the
 	// first later recheck seeds it on demand instead. Short-lived
 	// admit/release churn then never pays for it.
-	sc := sw.newScratch()
-	chk, err := sw.check(ctx, n, sc)
+	sw.enclose()
+	chk, err := sw.check(ctx, n, sw.newScratch())
 	if err != nil {
 		return aborted(name, err), true
 	}
@@ -283,9 +281,7 @@ func (st *gn2AdmitState) recheckTask(sw *gn2Sweep, k int, fresh []rat.R) gn2Rech
 			decided++
 			continue
 		}
-		if sw.screen {
-			escalated++
-		}
+		escalated++
 		if res := gn2EvalFull(sw, k, f); res.status == gn2Accepted {
 			return res
 		}
@@ -341,9 +337,7 @@ func (st *gn2AdmitState) recheckTask(sw *gn2Sweep, k int, fresh []rat.R) gn2Rech
 			decided++
 			continue
 		}
-		if sw.screen {
-			escalated++
-		}
+		escalated++
 		if res := gn2EvalFull(sw, k, lambda); res.status == gn2Accepted {
 			return res
 		}
@@ -360,11 +354,9 @@ func (st *gn2AdmitState) recheckTask(sw *gn2Sweep, k int, fresh []rat.R) gn2Rech
 // imply "exactly violated" — the same soundness argument as the full
 // sweep's per-candidate screen). β case selection uses the exact
 // comparisons, matching evalCandidate; only the term values are
-// enclosed. Returns false when the screen is off or cannot certify.
+// enclosed. Returns false when the screen cannot certify.
 func gn2ScreenFails(sw *gn2Sweep, k int, lambda rat.R) bool {
-	if !sw.screen {
-		return false
-	}
+	sw.enclose()
 	tk := sw.s.Tasks[k]
 	fDk := sw.fD[k]
 	fLambda := interval.FromRat(lambda)
@@ -376,7 +368,10 @@ func gn2ScreenFails(sw *gn2Sweep, k int, lambda rat.R) bool {
 	for i := range sw.ui {
 		var fb interval.I
 		if sw.ui[i].Cmp(lambda) <= 0 {
-			_, fb = sw.beta1(i, k)
+			fb = sw.fui[i]
+			if sw.s.Tasks[i].D < sw.s.Tasks[i].T {
+				fb = interval.FromRat(sw.beta1(i, k))
+			}
 		} else if lambda.Cmp(sw.dens[i]) >= 0 {
 			fb = sw.midBeta(i, k)
 		} else {
@@ -443,8 +438,7 @@ func (st *gn2AdmitState) witnessDelta(sw *gn2Sweep, k int, w rat.R) gn2Recheck {
 func gn2BetaAt(sw *gn2Sweep, k, i int, lambda rat.R) rat.R {
 	ui := sw.ui[i]
 	if ui.Cmp(lambda) <= 0 {
-		b, _ := sw.beta1(i, k)
-		return b
+		return sw.beta1(i, k)
 	}
 	if lambda.Cmp(sw.dens[i]) >= 0 {
 		if sw.g.Options.CaseTwoBaker {

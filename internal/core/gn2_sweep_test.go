@@ -3,8 +3,7 @@ package core_test
 // Coverage for the GN2 sweep's per-set hoists: the global candidate
 // index, the per-set case-1 β rule and the last-candidate evidence
 // shared by every task. Each is checked against the big.Rat reference
-// build with the screen on and off, serial and with parallel sweep
-// workers (run under -race in CI).
+// build, serial and with parallel sweep workers (run under -race in CI).
 
 import (
 	"context"
@@ -32,16 +31,13 @@ func gn2Pairs() []diffPair {
 	return out
 }
 
-// sweepContexts are the four sweep configurations every answer must be
-// identical under: screen on/off × serial/parallel.
+// sweepContexts are the sweep configurations every answer must be
+// identical under: serial and parallel.
 func sweepContexts() map[string]context.Context {
-	workers := max(runtime.GOMAXPROCS(0), 2)
 	bg := context.Background()
 	return map[string]context.Context{
-		"screen=on/workers=1":  bg,
-		"screen=off/workers=1": core.WithScreen(bg, false),
-		"screen=on/workers=N":  core.WithSweepWorkers(bg, workers),
-		"screen=off/workers=N": core.WithScreen(core.WithSweepWorkers(bg, workers), false),
+		"workers=1": bg,
+		"workers=N": core.WithSweepWorkers(bg, max(runtime.GOMAXPROCS(0), 2)),
 	}
 }
 

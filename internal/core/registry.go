@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync"
 )
 
 // Scheduler-validity labels for TestInfo.Validity. A test is listed
@@ -101,6 +102,27 @@ func TestByName(name string) (Test, error) {
 		}
 	}
 	return nil, fmt.Errorf("unknown test %q (known: %s)", name, strings.Join(TestNames(), ", "))
+}
+
+// registryIDs maps each registry test's Name(), the engine's cache key,
+// to its identifier. The two differ for the composites: "any-nf"
+// reports "any(DP|GN1|GN2)".
+var registryIDs = sync.OnceValue(func() map[string]string {
+	m := make(map[string]string, len(registry))
+	for _, e := range registry {
+		m[e.build().Name()] = e.name
+	}
+	return m
+})
+
+// TestID returns the registry identifier that TestByName resolves to a
+// test reporting t.Name(), or t.Name() itself for a test outside the
+// registry. Peers name a test by its identifier on the wire.
+func TestID(t Test) string {
+	if id, ok := registryIDs()[t.Name()]; ok {
+		return id
+	}
+	return t.Name()
 }
 
 // TestNames lists the identifiers TestByName accepts, sorted.

@@ -11,19 +11,16 @@ import (
 // whose interval straddles the comparison escalate to internal/rat.
 // The screen is verdict-invariant by construction — a strictly decided
 // interval comparison is certified to agree with exact arithmetic, and
-// every value that reaches a certificate is re-derived exactly — so,
-// like sweep parallelism, it is carried on the context rather than on
-// a Test field: it must never fragment the engine's verdict cache key.
+// every value that reaches a certificate is re-derived exactly — so it
+// is a fixed property of each kernel, not an option: GN2 and DP always
+// screen, GN1 never does (its certificate needs every exact sum anyway,
+// so the screen could only replace one cheap comparison per task).
 
-// screenKey carries the screen on/off switch; screenStatsKey carries
-// the optional counter sink.
-type (
-	screenKey      struct{}
-	screenStatsKey struct{}
-)
+// screenStatsKey carries the optional counter sink.
+type screenStatsKey struct{}
 
 // ScreenStats counts what the interval screen did during one or more
-// analyses: Decided is the number of bounds (GN2: λ candidates; GN1/DP:
+// analyses: Decided is the number of bounds (GN2: λ candidates; DP:
 // per-task inequalities) the screen disposed of with no exact
 // arithmetic, Escalated the number that required the exact kernel —
 // because the interval straddled the comparison, or because the bound
@@ -45,26 +42,6 @@ func (s *ScreenStats) add(decided, escalated uint64) {
 	s.Escalated.Add(escalated)
 }
 
-// WithScreen returns a context that switches the kernels' interval
-// pre-filter on or off. The screen is ON by default: it is certified
-// verdict-invariant (differential-tested against the screen-off path
-// and the bigref build), so disabling it is a debugging and
-// benchmarking affordance, not a correctness knob. Like
-// WithSweepWorkers, the switch deliberately stays out of Test.Name()
-// and hence out of the engine's cache key.
-func WithScreen(ctx context.Context, on bool) context.Context {
-	return context.WithValue(ctx, screenKey{}, on)
-}
-
-// ScreenOn reports whether the interval screen is enabled on ctx
-// (default true).
-func ScreenOn(ctx context.Context) bool {
-	if on, ok := ctx.Value(screenKey{}).(bool); ok {
-		return on
-	}
-	return true
-}
-
 // WithScreenStats returns a context that directs the kernels' screen
 // counters into s (the engine attaches one per analysis and surfaces
 // the totals in its Stats and on /metrics). A nil s is allowed and
@@ -77,11 +54,4 @@ func WithScreenStats(ctx context.Context, s *ScreenStats) context.Context {
 func screenStatsFrom(ctx context.Context) *ScreenStats {
 	s, _ := ctx.Value(screenStatsKey{}).(*ScreenStats)
 	return s
-}
-
-// screenCounters is a kernel-local, allocation-free tally; kernels
-// accumulate into it during an analysis and flush once via
-// ScreenStats.add. A nil *screenCounters doubles as "screen off".
-type screenCounters struct {
-	decided, escalated uint64
 }

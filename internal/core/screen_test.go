@@ -1,23 +1,23 @@
 package core_test
 
-// Tests for the interval screen's observable contract: the switch and
-// counter plumbing, the guarantee that near-boundary bounds escalate to
-// exact arithmetic rather than being decided on floats, and the
-// counters' per-kernel accounting invariants. The screen's semantic
-// equivalence is covered by the widened differential suite
-// (diffCompare runs every pair screen-on and screen-off).
+// Tests for the interval screen's observable contract: the counter
+// plumbing, the guarantee that near-boundary bounds escalate to exact
+// arithmetic rather than being decided on floats, and the counters'
+// per-kernel accounting invariants. The screen's semantic equivalence
+// is covered by the differential suite, which compares every screening
+// kernel against the all-big.Rat reference build.
 
 import (
 	"context"
 	"testing"
 
 	"fpgasched/internal/core"
+	"fpgasched/internal/core/bigref"
 	"fpgasched/internal/task"
 	"fpgasched/internal/workload"
 )
 
-// statsCtx returns a context with the screen on and a fresh counter
-// sink attached.
+// statsCtx returns a context with a fresh counter sink attached.
 func statsCtx() (context.Context, *core.ScreenStats) {
 	st := new(core.ScreenStats)
 	return core.WithScreenStats(context.Background(), st), st
@@ -31,18 +31,18 @@ func statsCtx() (context.Context, *core.ScreenStats) {
 // post-operation enclosure non-degenerate, so the equality straddles
 // the bound and the candidate escalates to the exact kernel — under
 // both resolutions of the strictness ambiguity, and with the verdict
-// identical to the screen-off path.
+// identical to the all-big.Rat reference build's.
 func TestScreenKnifeEdgeEscalates(t *testing.T) {
 	dev := core.NewDevice(workload.TableDeviceColumns)
 	set := workload.Table1()
-	for _, g := range []core.GN2Test{
-		{}, // strict condition 2: Table 1 rejected at the tie
-		{Options: core.GN2Options{CondTwoNonStrict: true}}, // non-strict: accepted at the tie
+	for _, o := range []core.GN2Options{
+		{},                       // strict condition 2: Table 1 rejected at the tie
+		{CondTwoNonStrict: true}, // non-strict: accepted at the tie
 	} {
+		g := core.GN2Test{Options: o}
 		ctx, st := statsCtx()
-		screened := g.Analyze(ctx, dev, set)
-		unscreened := g.Analyze(core.WithScreen(context.Background(), false), dev, set)
-		assertIdentical(t, "knife-edge/"+g.Name(), screened, unscreened)
+		assertIdentical(t, "knife-edge/"+g.Name(), g.Analyze(ctx, dev, set),
+			bigref.GN2Test{Options: o}.Analyze(context.Background(), dev, set))
 		if esc := st.Escalated.Load(); esc < 1 {
 			t.Fatalf("%s: knife-edge candidate decided on floats (escalated=%d, decided=%d)",
 				g.Name(), esc, st.Decided.Load())
@@ -72,23 +72,28 @@ func TestScreenDecidesOffBoundaryCandidates(t *testing.T) {
 	t.Fatal("no rejecting taskset found in 30 seeds; widen the search")
 }
 
-// TestScreenOffCountsNothing: with the screen disabled the kernels must
-// not touch the counters — the sink observing zero is how the engine's
-// screen=off mode is asserted end to end.
-func TestScreenOffCountsNothing(t *testing.T) {
-	st := new(core.ScreenStats)
-	ctx := core.WithScreen(core.WithScreenStats(context.Background(), st), false)
+// TestGN1MovesNoScreenCounter: GN1 has no interval screen, so its
+// analyses — accepting, rejecting, in both βi variants — must leave the
+// counter sink at zero.
+func TestGN1MovesNoScreenCounter(t *testing.T) {
+	ctx, st := statsCtx()
 	dev := core.NewDevice(workload.TableDeviceColumns)
-	for _, tt := range []core.Test{core.DPTest{}, core.GN1Test{}, core.GN2Test{}} {
-		tt.Analyze(ctx, dev, workload.Table3())
+	sets := []*task.Set{workload.Table1(), workload.Table2(), workload.Table3()}
+	for seed := uint64(1); seed <= 10; seed++ {
+		sets = append(sets, workload.Unconstrained(8).Generate(workload.Rand(seed)))
+	}
+	for _, g := range []core.GN1Test{{}, {Variant: core.GN1VariantBCL}} {
+		for _, s := range sets {
+			g.Analyze(ctx, dev, s)
+		}
 	}
 	if d, e := st.Decided.Load(), st.Escalated.Load(); d != 0 || e != 0 {
-		t.Fatalf("screen off but counters moved: decided=%d escalated=%d", d, e)
+		t.Fatalf("GN1 moved the screen counters: decided=%d escalated=%d", d, e)
 	}
 }
 
-// TestScreenCountersAccountPerBound pins the counters' unit: GN1 and DP
-// classify exactly one bound per task (their certificates always carry
+// TestScreenCountersAccountPerBound pins the counters' unit: DP
+// classifies exactly one bound per task (its certificate always carries
 // the exact sides, so the screen decides only the comparison), hence
 // decided + escalated equals the task count whenever the set reaches
 // the per-task loop.
@@ -98,9 +103,9 @@ func TestScreenCountersAccountPerBound(t *testing.T) {
 		test core.Test
 		set  *task.Set
 	}{
-		{core.GN1Test{}, workload.Table3()},
 		{core.DPTest{}, workload.Table1()},
 		{core.DPTest{}, workload.Table2()},
+		{core.DPTest{}, workload.Table3()},
 	}
 	for _, c := range cases {
 		ctx, st := statsCtx()

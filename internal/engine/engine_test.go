@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"fpgasched/internal/core"
+	"fpgasched/internal/core/bigref"
 	"fpgasched/internal/task"
 	"fpgasched/internal/timeunit"
 	"fpgasched/internal/workload"
@@ -120,48 +121,49 @@ func TestPerTestCounters(t *testing.T) {
 // TestScreenCounterHarvest pins the engine half of the interval-screen
 // contract: counters accumulate only when an analysis actually runs
 // (cache hits add nothing), they are attributed to the analysed test's
-// name, and Config.DisableScreen both reports Screen=false and keeps
-// every counter at zero while still producing the identical verdict.
+// name, GN1 (which never screens) adds none, and the screened verdict
+// is the all-big.Rat reference build's, certificate byte for byte.
 func TestScreenCounterHarvest(t *testing.T) {
+	ctx := context.Background()
 	s := table3()
-	on := New(Config{Workers: 2, CacheSize: 16})
-	defer on.Close()
-	von, err := on.Analyze(context.Background(), Request{Columns: 10, Set: s, Test: core.GN2Test{}})
+	e := New(Config{Workers: 2, CacheSize: 16})
+	defer e.Close()
+	v, err := e.Analyze(ctx, Request{Columns: 10, Set: s, Test: core.GN2Test{}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := on.Stats()
-	if !st.Screen {
-		t.Error("Stats.Screen = false on a default engine")
-	}
+	st := e.Stats()
 	if st.ScreenDecided+st.ScreenEscalated == 0 {
 		t.Fatalf("no screen counters harvested: %+v", st)
 	}
 	// A cache hit runs no kernel: the counters must not move.
-	if _, err := on.Analyze(context.Background(), Request{Columns: 10, Set: s, Test: core.GN2Test{}}); err != nil {
+	if _, err := e.Analyze(ctx, Request{Columns: 10, Set: s, Test: core.GN2Test{}}); err != nil {
 		t.Fatal(err)
 	}
-	st2 := on.Stats()
+	st2 := e.Stats()
 	if st2.ScreenDecided != st.ScreenDecided || st2.ScreenEscalated != st.ScreenEscalated {
 		t.Errorf("cache hit moved screen counters: %+v -> %+v", st, st2)
 	}
-
-	off := New(Config{Workers: 2, CacheSize: 16, DisableScreen: true})
-	defer off.Close()
-	voff, err := off.Analyze(context.Background(), Request{Columns: 10, Set: s, Test: core.GN2Test{}})
+	// GN1 has no screen: a real analysis must not move them either.
+	if _, err := e.Analyze(ctx, Request{Columns: 10, Set: s, Test: core.GN1Test{}}); err != nil {
+		t.Fatal(err)
+	}
+	st3 := e.Stats()
+	if gn1 := st3.Tests["GN1"]; gn1.Analyses != 1 || gn1.ScreenDecided != 0 || gn1.ScreenEscalated != 0 ||
+		st3.ScreenDecided != st.ScreenDecided || st3.ScreenEscalated != st.ScreenEscalated {
+		t.Errorf("GN1 analysis moved screen counters: %+v -> %+v", st, st3)
+	}
+	// The screen is verdict-invariant through the engine too.
+	got, err := json.Marshal(v.Certificate())
 	if err != nil {
 		t.Fatal(err)
 	}
-	stOff := off.Stats()
-	if stOff.Screen {
-		t.Error("Stats.Screen = true with DisableScreen")
+	want, err := json.Marshal(bigref.GN2Test{}.Analyze(ctx, core.NewDevice(10), s).Certificate())
+	if err != nil {
+		t.Fatal(err)
 	}
-	if stOff.ScreenDecided != 0 || stOff.ScreenEscalated != 0 || stOff.Tests["GN2"].ScreenDecided != 0 {
-		t.Errorf("disabled screen accumulated counters: %+v", stOff)
-	}
-	// The screen is verdict-invariant through the engine too.
-	if von.Schedulable != voff.Schedulable || von.FailingTask != voff.FailingTask || von.Reason != voff.Reason {
-		t.Errorf("screen changed an engine verdict: on=%+v off=%+v", von, voff)
+	if string(got) != string(want) {
+		t.Errorf("engine certificate differs from the big.Rat reference:\nengine: %s\nref:    %s", got, want)
 	}
 }
 

@@ -1,16 +1,22 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
+	"math/rand/v2"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"fpgasched/api"
 	"fpgasched/internal/cluster"
+	"fpgasched/internal/core"
 	"fpgasched/internal/engine"
 	"fpgasched/internal/task"
 	"fpgasched/internal/workload"
@@ -219,6 +225,156 @@ func TestTwoPeerDeadOwnerDegrades(t *testing.T) {
 	doJSON(t, "GET", other.ts.URL+"/metrics", "", &m2)
 	if m2.Cluster.Peers[owner.name].FetchErrors != m.Cluster.Peers[owner.name].FetchErrors {
 		t.Fatalf("repeat of a locally cached set re-probed the dead owner")
+	}
+}
+
+// postRaw POSTs body to url and returns the status and raw response
+// bytes, for byte-for-byte comparisons of wire responses.
+func postRaw(t testing.TB, url, body string) (int, []byte) {
+	t.Helper()
+	resp, err := http.Post(url, "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	data, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp.StatusCode, data
+}
+
+// shuffled returns a copy of s with its tasks in a random order.
+func shuffled(s *task.Set, r *rand.Rand) *task.Set {
+	out := s.Clone()
+	r.Shuffle(len(out.Tasks), func(i, j int) { out.Tasks[i], out.Tasks[j] = out.Tasks[j], out.Tasks[i] })
+	return out
+}
+
+// TestPeerServedMatchesOwnerLocalHit pins that a peer-served verdict is
+// indistinguishable from a local cache hit: for every registry test
+// (composites with sub-verdicts included), random sets sent in a
+// permuted order, and explain on and off, the non-owner's response —
+// built from the owner's fetched canonical certificate — must be
+// byte-identical to the owner's own response to the same request, which
+// the owner serves from its cache. Unit-area sets on 4 columns make the
+// multiprocessor adapters analyze for real, so their accepting
+// certificates are covered too.
+func TestPeerServedMatchesOwnerLocalHit(t *testing.T) {
+	type corpusSet struct {
+		columns int
+		set     *task.Set
+	}
+	var corpus []corpusSet
+	r := workload.Rand(7)
+	for i := 0; i < 25; i++ {
+		corpus = append(corpus, corpusSet{workload.FigureDeviceColumns, workload.Unconstrained(6).Generate(r)})
+	}
+	unit := workload.Profile{
+		Name: "unit", N: 6, AreaMin: 1, AreaMax: 1,
+		PeriodMin: 5, PeriodMax: 20, UtilMin: 0.1, UtilMax: 0.9,
+	}
+	r = workload.Rand(11)
+	for i := 0; i < 25; i++ {
+		corpus = append(corpus, corpusSet{4, unit.Generate(r)})
+	}
+	names, err := json.Marshal(core.TestNames())
+	if err != nil {
+		t.Fatal(err)
+	}
+	perms := rand.New(rand.NewPCG(3, 4))
+	for _, explain := range []bool{false, true} {
+		// A fresh fleet per mode, so every non-owner request misses its
+		// own cache and is served by a fetch.
+		nodes := newTestFleet(t, 2)
+		for i, c := range corpus {
+			owner, other := ownerOf(t, nodes, c.set)
+			body := func(s *task.Set) string {
+				return fmt.Sprintf(`{"columns":%d,"tests":%s,"explain":%v,"taskset":%s}`, c.columns, names, explain, setJSON(t, s))
+			}
+			if code, out := postRaw(t, owner.ts.URL+"/v1/analyze", body(c.set)); code != 200 {
+				t.Fatalf("set %d: cold analyze on the owner: %d %s", i, code, out)
+			}
+			permuted := body(shuffled(c.set, perms))
+			ownerAnalyses := owner.srv.engine.Stats().Analyses
+			code, local := postRaw(t, owner.ts.URL+"/v1/analyze", permuted)
+			if code != 200 || owner.srv.engine.Stats().Analyses != ownerAnalyses {
+				t.Fatalf("set %d: permuted repeat on the owner was not a cache hit: %d %s", i, code, local)
+			}
+			otherAnalyses := other.srv.engine.Stats().Analyses
+			remoteHits := other.srv.fleet.Metrics().RemoteHits
+			code, peer := postRaw(t, other.ts.URL+"/v1/analyze", permuted)
+			if code != 200 || other.srv.engine.Stats().Analyses != otherAnalyses {
+				t.Fatalf("set %d: non-owner analysed locally: %d %s", i, code, peer)
+			}
+			if got := other.srv.fleet.Metrics().RemoteHits - remoteHits; got != uint64(len(core.TestNames())) {
+				t.Fatalf("set %d: %d remote hits, want one per test (%d)", i, got, len(core.TestNames()))
+			}
+			if !bytes.Equal(local, peer) {
+				t.Fatalf("set %d explain=%v: peer-served response differs from the owner's local hit:\nowner: %s\npeer:  %s",
+					i, explain, local, peer)
+			}
+		}
+	}
+}
+
+// TestPeerMalformedCertificateAnalysedLocally serves, from a fake peer
+// that owns the set, a cache "hit" whose certificate does not
+// reconstruct (a non-rational lhs). The node must count it as a remote
+// fallback, analyse locally, answer exactly what a single-node server
+// answers, and cache its own verdict rather than the garbage.
+func TestPeerMalformedCertificateAnalysedLocally(t *testing.T) {
+	var lookups atomic.Int64
+	fake := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		lookups.Add(1)
+		json.NewEncoder(w).Encode(api.CacheLookupResponse{Hit: true, Verdict: &api.Verdict{
+			Test: "GN2", Schedulable: true,
+			Checks: []api.Check{{TaskIndex: 0, LHS: "not-a-rational", RHS: "1", Satisfied: true}},
+		}})
+	}))
+	defer fake.Close()
+	fleet, err := cluster.New(cluster.Config{
+		Self:  "a",
+		Peers: map[string]string{"a": "http://127.0.0.1:1", "b": fake.URL},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := New(Config{EngineConfig: engine.Config{Workers: 2, CacheSize: 16}, Fleet: fleet})
+	ts := httptest.NewServer(srv)
+	defer func() {
+		ts.Close()
+		srv.Close()
+	}()
+	_, single := newTestServer(t)
+
+	// A set the fake peer owns.
+	var set *task.Set
+	for seed := uint64(1); set == nil; seed++ {
+		s := workload.Unconstrained(5).Generate(workload.Rand(seed))
+		if cluster.Owner([]string{"a", "b"}, s.Fingerprint()) == "b" {
+			set = s
+		}
+	}
+	for _, explain := range []bool{true, false} {
+		body := fmt.Sprintf(`{"columns":%d,"tests":["GN2"],"explain":%v,"taskset":%s}`,
+			workload.FigureDeviceColumns, explain, setJSON(t, set))
+		code, got := postRaw(t, ts.URL+"/v1/analyze", body)
+		_, want := postRaw(t, single.URL+"/v1/analyze", body)
+		if code != 200 || !bytes.Equal(got, want) {
+			t.Fatalf("explain=%v: response to a malformed peer certificate = %d %s, want the local analysis %s",
+				explain, code, got, want)
+		}
+	}
+	m := fleet.Metrics()
+	if m.RemoteHits != 0 || m.RemoteFallbacks != 1 {
+		t.Fatalf("cluster metrics = %+v, want one remote fallback and no remote hit", m)
+	}
+	if n := lookups.Load(); n != 1 {
+		t.Fatalf("fake peer saw %d lookups, want 1: the local verdict must be cached and reused", n)
+	}
+	if a := srv.engine.Stats().Analyses; a != 1 {
+		t.Fatalf("engine analyses = %d, want 1 local analysis", a)
 	}
 }
 

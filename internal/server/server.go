@@ -688,35 +688,35 @@ func (s *Server) analyzeSets(ctx context.Context, columns int, sets []*task.Set,
 // from the owning peer when that is someone else. It returns ok=false
 // when the request must be analysed locally — because this node owns
 // the fingerprint and has no cached verdict (the normal cold case), or
-// because the owner was unreachable, slow, breaker-open, or simply
-// missed (the degraded case; RecordRemote tallies which). The returned
-// wire verdict is byte-identical to what the local path would produce:
-// RemapCertificate mirrors engine.RemapVerdict exactly (pinned by
-// TestRemapCertificateMatchesEngine).
+// because the owner was unreachable, slow, breaker-open, missed, or
+// served a certificate that does not reconstruct (the degraded case;
+// RecordRemote tallies which). A fetched certificate is reconstructed
+// once, seeded into the local LRU, and served exactly as a local cache
+// hit is, so the wire verdict is byte-identical to the local path's.
 func (s *Server) clusterVerdict(ctx context.Context, r engine.Request, explain bool) (api.Verdict, bool, bool) {
 	perm := r.Set.CanonicalPerm()
 	fp := r.Set.FingerprintFromPerm(perm)
-	if v, ok := s.engine.PeekCanonical(r.Test.Name(), r.Columns, fp); ok {
-		v = engine.RemapVerdict(v, perm, !explain)
-		return api.VerdictFromCore(v, explain), v.Schedulable, true
-	}
-	owner := s.fleet.Owner(fp)
-	if owner == s.fleet.Self() {
-		return api.Verdict{}, false, false
-	}
-	cert, ok := s.fleet.Fetch(ctx, owner, r.Columns, r.Test.Name(), fp)
-	s.fleet.RecordRemote(ok)
+	v, ok := s.engine.PeekCanonical(r.Test.Name(), r.Columns, fp)
 	if !ok {
-		return api.Verdict{}, false, false
-	}
-	// Seed the local LRU so repeats of this hot set skip the network;
-	// a certificate that does not reconstruct cleanly is served to this
-	// request but never cached.
-	if v, err := cluster.VerdictFromCertificate(cert); err == nil {
+		owner := s.fleet.Owner(fp)
+		if owner == s.fleet.Self() {
+			return api.Verdict{}, false, false
+		}
+		cert, fetched := s.fleet.Fetch(ctx, owner, r.Columns, core.TestID(r.Test), fp)
+		var err error
+		if fetched {
+			v, err = cluster.VerdictFromCertificate(cert)
+		}
+		ok = fetched && err == nil
+		s.fleet.RecordRemote(ok)
+		if !ok {
+			return api.Verdict{}, false, false
+		}
+		// Seed the local LRU so repeats of this hot set skip the network.
 		s.engine.InsertCanonical(r.Test.Name(), r.Columns, fp, v)
 	}
-	out := cluster.RemapCertificate(cert, perm, explain)
-	return out, cert.Schedulable, true
+	v = engine.RemapVerdict(v, perm, !explain)
+	return api.VerdictFromCore(v, explain), v.Schedulable, true
 }
 
 func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {

@@ -14,11 +14,12 @@ import (
 const maxNestingDepth = 10000
 
 // setDecoder parses the task-set wire form {"tasks":[{...},...]} in one
-// pass over the bytes, without reflection. It must accept exactly the
-// inputs that a strict json.Decoder filling {"tasks": []json.RawMessage},
-// followed by Task.UnmarshalJSON on each element, accepts, and yield
-// the same Set; FuzzTaskSetJSON holds it to that reference
-// (refcodec_test.go). Hence:
+// pass over the bytes, without reflection; its task method alone backs
+// Task.UnmarshalJSON. It must accept exactly the inputs that a strict
+// json.Decoder filling {"tasks": []json.RawMessage}, followed by a
+// strict json.Decoder filling jsonTask's fields from each element,
+// accepts, and yield the same Set (for a single task: the same Task);
+// FuzzTaskSetJSON holds it to that reference (refcodec_test.go). Hence:
 //
 //   - keys match their field case-insensitively (bytes.EqualFold); any
 //     other key is an unknown field;
@@ -133,10 +134,12 @@ func (d *setDecoder) tasks() (tasks []Task, bad, err error) {
 	}
 }
 
-// task parses one array element into its wire fields. bad is the first
-// type mismatch or unknown key (the rest of the element is still read
-// for syntax); err is a syntax error. A null element yields empty
-// fields, which jsonTask.task rejects.
+// task parses one task value (an element of "tasks", or a whole
+// Task.UnmarshalJSON input) into its wire fields. bad is the first type
+// mismatch or unknown key (the rest of the value is still read for
+// syntax); err is a syntax error. A null task yields empty fields, which
+// jsonTask.task rejects. Nesting is counted as inside a set's "tasks"
+// array.
 func (d *setDecoder) task() (jt jsonTask, bad, err error) {
 	switch c := d.next(); c {
 	case '{':

@@ -12,7 +12,8 @@ import (
 // taskSetSeeds is the corpus FuzzTaskSetJSON starts from, and which a
 // plain go test replays: the paper's Tables 1-3, names needing every
 // escape, case-folded and repeated keys, null and missing fields, bad
-// numbers and durations, and framing oddities.
+// numbers and durations, and framing oddities; the last seeds are bare
+// tasks, the admit body, for the single-task leg.
 var taskSetSeeds = []string{
 	`{"tasks":[{"name":"t1","c":"1.26","d":"7","t":"7","a":9},{"name":"t2","c":"0.95","d":"5","t":"5","a":6}]}`,
 	`{"tasks":[{"name":"t1","c":"4.50","d":"8","t":"8","a":3},{"name":"t2","c":"8.00","d":"9","t":"9","a":5}]}`,
@@ -81,6 +82,21 @@ var taskSetSeeds = []string{
 	`{"tasks":[{"c":"1\x","d":"4","t":"4","a":1}]}`,
 	``,
 	`not json`,
+	`{"name":"t1","c":"2.10","d":"5","t":"5","a":7}`,
+	`{"NAME":"x","C":"1","D":"4","T":"4","A":1}`,
+	`{"name":"q\"b\\s\/<a>&b","c":"1","d":"4","t":"4","a":1}`,
+	`{"c":"1","c":"2","d":"4","t":"4","a":1,"a":3}`,
+	`{"c":5,"c":"1","d":"4","t":"4","a":1}`,
+	`{"c":"1","d":"4","t":"4","a":1,"area":7}`,
+	`{"c":"1","d":"4","t":"4","a":1.5}`,
+	`{"c":"1","d":"4","t":"4","a":null}`,
+	`{"c":"0","d":"4","t":"4","a":1}`,
+	`{"c":"1","d":"4","t":"4","a":1,"x":{"y":[1,2,{"z":null}]}}`,
+	`{"c":"1","d":"4","t":"4","a":1} trailing`,
+	`{"c":"1","d":"4","t":"4","a":1`,
+	`[{"c":"1","d":"4","t":"4","a":1}]`,
+	`"task"`,
+	`1`,
 }
 
 // decodeStrict decodes body the way the server's decodeJSON does:
@@ -112,9 +128,52 @@ func wireClass(err error, set *Set) string {
 	return "ok"
 }
 
+// taskClass is the api error code an admit body decoded into task
+// would get: invalid_json when it does not decode, invalid_task when
+// the task fails validation.
+func taskClass(err error, task Task) string {
+	switch {
+	case err != nil:
+		return "invalid_json"
+	case task.Validate() != nil:
+		return "invalid_task"
+	}
+	return "ok"
+}
+
+// checkTaskAgainstReference asserts Task.UnmarshalJSON and the reference
+// agree on data as a single task, used directly and as a whole request
+// body (the admit endpoint's): same accept/reject, same api error
+// class, same Task.
+func checkTaskAgainstReference(t *testing.T, data []byte) {
+	var got Task
+	gerr := got.UnmarshalJSON(data)
+	var want refTask
+	werr := want.UnmarshalJSON(data)
+	if (gerr == nil) != (werr == nil) {
+		t.Fatalf("Task.UnmarshalJSON(%q): err = %v, reference err = %v", data, gerr, werr)
+	}
+	if gerr == nil && got != Task(want) {
+		t.Fatalf("Task.UnmarshalJSON(%q) = %#v, reference %#v", data, got, want)
+	}
+
+	var greq Task
+	var wreq refTask
+	gerr, werr = decodeStrict(data, &greq), decodeStrict(data, &wreq)
+	if gc, wc := taskClass(gerr, greq), taskClass(werr, Task(wreq)); gc != wc {
+		t.Fatalf("admit body %q: class %s (%v), reference %s (%v)", data, gc, gerr, wc, werr)
+	}
+	if gerr == nil && greq != Task(wreq) {
+		t.Fatalf("admit body %q: task %#v, reference %#v", data, greq, wreq)
+	}
+}
+
 // checkAgainstReference asserts the production codec and the reference
-// agree on data, used directly and embedded in a request body.
+// agree on data, used directly and embedded in a request body, and
+// runs the single-task leg on the same bytes.
 func checkAgainstReference(t *testing.T, data []byte) {
+	checkTaskAgainstReference(t, data)
+
 	var got Set
 	gerr := got.UnmarshalJSON(data)
 	var want refSet
@@ -188,7 +247,9 @@ func TestCodecNestingLimit(t *testing.T) {
 // FuzzTaskSetJSON differentially tests the one-pass decoder and the
 // append encoder against the reference codec (refcodec_test.go): same
 // accept/reject decision and api error class, same Set, and identical
-// json.Marshal and WriteJSON bytes for everything accepted.
+// json.Marshal and WriteJSON bytes for everything accepted. Each input
+// is also decoded as a single Task (the admit body) against
+// refTask.UnmarshalJSON.
 func FuzzTaskSetJSON(f *testing.F) {
 	for _, seed := range taskSetSeeds {
 		f.Add([]byte(seed))

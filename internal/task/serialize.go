@@ -12,19 +12,9 @@ import (
 	"fpgasched/internal/timeunit"
 )
 
-// strictUnmarshal decodes JSON rejecting unknown fields, so a typoed
-// field name ("area" for "a") fails loudly instead of yielding a zero
-// value. encoding/json does not propagate DisallowUnknownFields into
-// custom unmarshalers, so each one must opt in explicitly.
-func strictUnmarshal(data []byte, v any) error {
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	return dec.Decode(v)
-}
-
 // jsonTask is the wire form of Task: durations as decimal strings so files
-// stay exact and human-editable. Task.UnmarshalJSON decodes into it by
-// reflection, setDecoder by hand.
+// stay exact and human-editable. setDecoder parses into it; the tags
+// document the field names.
 type jsonTask struct {
 	Name string `json:"name,omitempty"`
 	C    string `json:"c"`
@@ -38,10 +28,21 @@ func (t Task) MarshalJSON() ([]byte, error) {
 	return appendTaskJSON(make([]byte, 0, 64), t), nil
 }
 
-// UnmarshalJSON implements json.Unmarshaler for Task.
+// UnmarshalJSON implements json.Unmarshaler for Task with the strict
+// one-pass parser Set.UnmarshalJSON runs on each element of "tasks", so
+// an unknown field (a typoed "area" for "a") fails loudly instead of
+// yielding a zero value — encoding/json does not propagate
+// DisallowUnknownFields into custom unmarshalers. The parser counts
+// nesting as inside a set, two levels deeper than a bare task sits; that
+// moves encoding/json's depth limit only inside a value the task rejects
+// anyway. On error the receiver is left unchanged.
 func (t *Task) UnmarshalJSON(data []byte) error {
-	var jt jsonTask
-	if err := strictUnmarshal(data, &jt); err != nil {
+	d := setDecoder{data: data}
+	jt, bad, err := d.task()
+	if err == nil {
+		err = bad
+	}
+	if err != nil {
 		return err
 	}
 	tk, err := jt.task()
